@@ -63,11 +63,9 @@ void Simulator::save_checkpoint(std::ostream& os) const {
   binio::write_u64(payload_os, topology_version_);
   binio::write_i64(payload_os, initial_total_);
   binio::write_i64(payload_os, sum_q_);
-  // Σq² is a 128-bit accumulator; split via two 32-bit shifts so the
-  // 64-bit fallback build stays well defined.
+  // Σq² is a 128-bit accumulator, written low word first.
   binio::write_u64(payload_os, static_cast<std::uint64_t>(sum_sq_));
-  binio::write_u64(payload_os,
-                   static_cast<std::uint64_t>((sum_sq_ >> 32) >> 32));
+  binio::write_u64(payload_os, static_cast<std::uint64_t>(sum_sq_ >> 64));
 
   binio::write_u32(payload_os, static_cast<std::uint32_t>(queue_.size()));
   for (const PacketCount q : queue_) binio::write_i64(payload_os, q);
@@ -321,7 +319,7 @@ void Simulator::restore_checkpoint(std::istream& is) {
     }
     if (sum_q_ != want_sum_q) fail("Σq accumulator mismatch");
     const auto want_sum_sq =
-        (((static_cast<detail::QuadAccum>(sum_sq_hi) << 32) << 32)) |
+        (static_cast<detail::QuadAccum>(sum_sq_hi) << 64) |
         static_cast<detail::QuadAccum>(sum_sq_lo);
     if (sum_sq_ != want_sum_sq) fail("Σq² accumulator mismatch");
 
@@ -333,9 +331,9 @@ void Simulator::restore_checkpoint(std::istream& is) {
         net_.set_spec(static_cast<NodeId>(v), specs[v]);
       }
     }
-    // Specs may have changed the role sets; a sharding engine's per-shard
+    // Specs may have changed the role sets; the shard engine's per-shard
     // role lists must follow.
-    if (engine_ != nullptr) engine_->refresh_roles(net_);
+    shards_->refresh_roles(net_);
     t_ = t;
     topology_version_ = topology_version;
     initial_total_ = initial_total;
