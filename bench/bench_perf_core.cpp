@@ -46,8 +46,8 @@ struct ScalingCell {
 /// Relay-heavy workload for the shard engine: a side×side grid with one
 /// source and one sink, every relay seeded with packets so the selection
 /// and apply phases (the parallelized hot spots) dominate.  threads == 0
-/// runs the serial engine; threads >= 1 runs the shard engine with
-/// K = threads shards.
+/// runs the default inline pipeline; threads >= 1 calls
+/// enable_sharding(K = threads), where K = 1 is the inline pipeline again.
 double measure_sharded_seconds(NodeId side, std::size_t threads,
                                TimeStep steps) {
   core::Simulator sim(core::scenarios::grid_single(side, side),
@@ -322,7 +322,9 @@ void BM_SimStepSharded(benchmark::State& state) {
   state.SetLabel(threads == 0 ? "serial"
                               : "sharded-k" + std::to_string(threads));
 }
-BENCHMARK(BM_SimStepSharded)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
+// Wall clock: the pool threads do the work, so main-thread CPU time would
+// overstate sharded throughput.
+BENCHMARK(BM_SimStepSharded)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_SimStepByDegree(benchmark::State& state) {
   const auto mult = static_cast<int>(state.range(0));

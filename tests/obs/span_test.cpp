@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/arrival.hpp"
@@ -148,6 +149,38 @@ TEST(SpanTracer, AttachedTracerNeverPerturbsTheTrajectory) {
   ASSERT_GE(tracer.lane_count(), 1u);
   EXPECT_EQ(tracer.lane(0).size() + tracer.lane(0).dropped(),
             200u * core::kStepPhaseCount);
+}
+
+TEST(SpanTracer, OneShardRecordsTheInlineSpanSequence) {
+  // enable_sharding(1, T) builds no pool and never fans out: its spans are
+  // exactly a default run's — lane 0 only, every span kSerialShard — even
+  // though LGG selects locally and the arrival process is parallel-safe.
+  using Key = std::tuple<std::uint64_t, std::uint16_t, std::size_t,
+                         std::uint16_t>;  // (step, phase, lane, shard)
+  const auto trace = [](bool one_shard_four_threads) {
+    core::SimulatorOptions options;
+    options.seed = 0x0B6;
+    core::Simulator sim(core::scenarios::grid_single(3, 4), options);
+    sim.set_arrival(std::make_unique<core::BernoulliArrival>(0.7));
+    if (one_shard_four_threads) sim.enable_sharding(1, 4);
+    obs::SpanTracer tracer;
+    sim.set_tracer(&tracer);
+    sim.run(50);
+    EXPECT_EQ(tracer.lane_count(), 1u);
+    std::vector<Key> keys;
+    for (std::size_t lane = 0; lane < tracer.lane_count(); ++lane) {
+      for (const obs::SpanRecord& span : tracer.lane(lane).spans()) {
+        keys.emplace_back(span.step, span.phase, lane, span.shard);
+      }
+    }
+    return keys;
+  };
+  const std::vector<Key> one_shard = trace(true);
+  EXPECT_EQ(one_shard, trace(false));
+  ASSERT_EQ(one_shard.size(), 50u * core::kStepPhaseCount);
+  for (const Key& key : one_shard) {
+    EXPECT_EQ(std::get<3>(key), obs::kSerialShard);
+  }
 }
 
 }  // namespace
