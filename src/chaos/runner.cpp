@@ -9,6 +9,7 @@
 #include "common/exit_codes.hpp"
 #include "common/failpoint.hpp"
 #include "common/require.hpp"
+#include "common/spec_parse.hpp"
 #include "control/governor.hpp"
 #include "control/sentinel.hpp"
 #include "core/arrival.hpp"
@@ -216,6 +217,7 @@ ScenarioOutcome read_outcome(std::istream& is) {
     if (space == std::string::npos) continue;
     const std::string key = line.substr(0, space);
     const std::string value = line.substr(space + 1);
+    const std::string what = "outcome: " + key;
     if (key == "verdict") {
       for (const Verdict v :
            {Verdict::kOk, Verdict::kViolation, Verdict::kDiverged,
@@ -223,18 +225,18 @@ ScenarioOutcome read_outcome(std::istream& is) {
         if (value == to_string(v)) outcome.verdict = v;
       }
     } else if (key == "steps") {
-      outcome.steps_done = std::stoll(value);
+      outcome.steps_done = common::parse_number<TimeStep>(what, value);
     } else if (key == "packets") {
-      outcome.final_packets = std::stoll(value);
+      outcome.final_packets = common::parse_number<PacketCount>(what, value);
     } else if (key == "state") {
-      outcome.final_state = std::stod(value);
+      outcome.final_state = common::parse_number<double>(what, value);
     } else if (key == "recoveries") {
-      outcome.recoveries = std::stoll(value);
+      outcome.recoveries = common::parse_number<std::int64_t>(what, value);
     } else if (key == "oracle") {
       violation.oracle = oracles_from_string(value);
       has_violation = true;
     } else if (key == "violation_step") {
-      violation.step = std::stoll(value);
+      violation.step = common::parse_number<TimeStep>(what, value);
       has_violation = true;
     } else if (key == "message") {
       violation.message = value;

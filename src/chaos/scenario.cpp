@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/require.hpp"
+#include "common/spec_parse.hpp"
 #include "core/scenarios.hpp"
 #include "core/trace_io.hpp"
 #include "graph/generators.hpp"
@@ -36,50 +37,6 @@ std::string fmt_double(double v) {
       std::to_chars(buffer, buffer + sizeof(buffer), v);
   LGG_REQUIRE(ec == std::errc(), "fmt_double: to_chars failed");
   return {buffer, ptr};
-}
-
-double parse_double_field(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  LGG_REQUIRE(used == value.size() && !value.empty(),
-              "scenario: " + key + " wants a number, got '" + value + "'");
-  return parsed;
-}
-
-std::int64_t parse_int_field(const std::string& key,
-                             const std::string& value) {
-  std::size_t used = 0;
-  std::int64_t parsed = 0;
-  try {
-    parsed = std::stoll(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  LGG_REQUIRE(used == value.size() && !value.empty(),
-              "scenario: " + key + " wants an integer, got '" + value + "'");
-  return parsed;
-}
-
-std::uint64_t parse_uint_field(const std::string& key,
-                               const std::string& value) {
-  // Full-width unsigned parse: generator seeds use all 64 bits, which
-  // overflows a stoll round-trip.
-  std::size_t used = 0;
-  std::uint64_t parsed = 0;
-  try {
-    parsed = std::stoull(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  LGG_REQUIRE(used == value.size() && !value.empty() && value[0] != '-',
-              "scenario: " + key + " wants a non-negative integer, got '" +
-                  value + "'");
-  return parsed;
 }
 
 core::DeclarationPolicy parse_declaration(const std::string& value) {
@@ -195,21 +152,22 @@ ScenarioConfig read_scenario(std::istream& is) {
                 "scenario: expected 'key value', got '" + line + "'");
     const std::string key = line.substr(0, space);
     const std::string value = line.substr(space + 1);
+    const std::string what = "scenario: " + key;
     if (key == "label") {
       c.label = value;
     } else if (key == "seed") {
-      c.seed = parse_uint_field(key, value);
+      c.seed = common::parse_number<std::uint64_t>(what, value);
     } else if (key == "horizon") {
-      c.horizon = parse_int_field(key, value);
+      c.horizon = common::parse_number<TimeStep>(what, value);
       LGG_REQUIRE(c.horizon > 0, "scenario: horizon must be > 0");
     } else if (key == "protocol") {
       c.protocol = value;
     } else if (key == "loss") {
-      c.loss = parse_double_field(key, value);
+      c.loss = common::parse_number<double>(what, value);
       LGG_REQUIRE(c.loss >= 0.0 && c.loss <= 1.0,
                   "scenario: loss must be in [0, 1]");
     } else if (key == "arrival_scale") {
-      c.arrival_scale = parse_double_field(key, value);
+      c.arrival_scale = common::parse_number<double>(what, value);
     } else if (key == "arrival") {
       LGG_REQUIRE(!value.empty(), "scenario: arrival wants a spec");
       c.arrival_spec = value;
@@ -217,10 +175,10 @@ ScenarioConfig read_scenario(std::istream& is) {
       const auto mid = value.find(' ');
       LGG_REQUIRE(mid != std::string::npos,
                   "scenario: churn wants 'p_off p_on'");
-      c.churn_off = parse_double_field(key, value.substr(0, mid));
-      c.churn_on = parse_double_field(key, value.substr(mid + 1));
+      c.churn_off = common::parse_number<double>(what, value.substr(0, mid));
+      c.churn_on = common::parse_number<double>(what, value.substr(mid + 1));
     } else if (key == "matching") {
-      c.matching = parse_int_field(key, value) != 0;
+      c.matching = common::parse_number<std::int64_t>(what, value) != 0;
     } else if (key == "declaration") {
       c.declaration = parse_declaration(value);
     } else if (key == "faults") {
@@ -237,37 +195,36 @@ ScenarioConfig read_scenario(std::istream& is) {
                         "' belongs in faults");
       }
     } else if (key == "fault_seed") {
-      c.fault_seed = parse_uint_field(key, value);
+      c.fault_seed = common::parse_number<std::uint64_t>(what, value);
     } else if (key == "divergence_bound") {
-      c.divergence_bound = parse_double_field(key, value);
+      c.divergence_bound = common::parse_number<double>(what, value);
     } else if (key == "deadline_ms") {
-      c.deadline_ms = parse_int_field(key, value);
+      c.deadline_ms = common::parse_number<std::int64_t>(what, value);
     } else if (key == "governor") {
-      c.governor = parse_int_field(key, value) != 0;
+      c.governor = common::parse_number<std::int64_t>(what, value) != 0;
     } else if (key == "governor_target_eps") {
-      c.governor_target_eps = parse_double_field(key, value);
+      c.governor_target_eps = common::parse_number<double>(what, value);
       LGG_REQUIRE(c.governor_target_eps >= 0.0,
                   "scenario: governor_target_eps must be >= 0");
     } else if (key == "brownout") {
-      c.brownout = parse_int_field(key, value) != 0;
+      c.brownout = common::parse_number<std::int64_t>(what, value) != 0;
     } else if (key == "expect_stable") {
-      c.expect_stable = parse_int_field(key, value) != 0;
+      c.expect_stable = common::parse_number<std::int64_t>(what, value) != 0;
     } else if (key == "oracles") {
       c.oracles = oracles_from_string(value);
     } else if (key == "strict_declarations") {
-      c.strict_declarations = parse_int_field(key, value) != 0;
+      c.strict_declarations =
+          common::parse_number<std::int64_t>(what, value) != 0;
     } else if (key == "failpoints") {
       LGG_REQUIRE(!value.empty(), "scenario: failpoints wants a spec");
       c.failpoints = value;
     } else if (key == "hang_ms") {
-      c.hang_ms = parse_int_field(key, value);
+      c.hang_ms = common::parse_number<std::int64_t>(what, value);
     } else if (key == "check_every") {
-      c.check_every = parse_int_field(key, value);
+      c.check_every = common::parse_number<TimeStep>(what, value);
       LGG_REQUIRE(c.check_every >= 1, "scenario: check_every must be >= 1");
     } else if (key == "shards") {
-      const auto shards = parse_int_field(key, value);
-      LGG_REQUIRE(shards >= 0, "scenario: shards must be >= 0");
-      c.shards = static_cast<std::uint32_t>(shards);
+      c.shards = common::parse_number<std::uint32_t>(what, value);
     } else {
       LGG_REQUIRE(false, "scenario: unknown key '" + key + "'");
     }

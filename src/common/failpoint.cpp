@@ -12,6 +12,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/require.hpp"
+#include "common/spec_parse.hpp"
+
 namespace lgg::common {
 
 namespace {
@@ -23,25 +26,13 @@ struct Trigger {
   bool fired = false;
 };
 
+constexpr FailpointAction kActions[] = {
+    FailpointAction::kError, FailpointAction::kTorn, FailpointAction::kAbort};
+
 struct SiteState {
   std::uint64_t hits = 0;
   std::vector<Trigger> triggers;
 };
-
-[[noreturn]] void bad_spec(const std::string& what) {
-  throw std::runtime_error("failpoints: " + what);
-}
-
-std::uint64_t parse_count(const std::string& what, const std::string& text) {
-  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
-    bad_spec(what + " wants a non-negative integer, got '" + text + "'");
-  }
-  try {
-    return std::stoull(text);
-  } catch (const std::exception&) {
-    bad_spec(what + " out of range: '" + text + "'");
-  }
-}
 
 }  // namespace
 
@@ -73,53 +64,29 @@ void FailpointRegistry::arm(const std::string& spec) {
   // Parse the whole spec into a staging list first so a malformed clause
   // arms nothing.
   std::vector<std::pair<std::string, Trigger>> staged;
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    const std::size_t end = std::min(spec.find(';', begin), spec.size());
-    const std::string clause = spec.substr(begin, end - begin);
-    begin = end + 1;
-    if (clause.empty()) continue;
-    const std::size_t colon = clause.find(':');
-    if (colon == std::string::npos || colon == 0) {
-      bad_spec("expected 'site:at=N[,...]', got '" + clause + "'");
-    }
-    const std::string site = clause.substr(0, colon);
-    Trigger trigger;
-    bool saw_at = false;
-    std::size_t pos = colon + 1;
-    while (pos <= clause.size()) {
-      const std::size_t comma = std::min(clause.find(',', pos), clause.size());
-      const std::string field = clause.substr(pos, comma - pos);
-      pos = comma + 1;
-      if (field.empty()) bad_spec("empty field in '" + clause + "'");
-      const std::size_t eq = field.find('=');
-      if (eq == std::string::npos) {
-        bad_spec("expected key=value, got '" + field + "'");
-      }
-      const std::string key = field.substr(0, eq);
-      const std::string value = field.substr(eq + 1);
-      if (key == "at") {
-        trigger.at = parse_count("at", value);
-        if (trigger.at == 0) bad_spec("at wants a 1-based hit index");
-        saw_at = true;
-      } else if (key == "action") {
-        if (value == "error") {
-          trigger.action = FailpointAction::kError;
-        } else if (value == "torn") {
-          trigger.action = FailpointAction::kTorn;
-        } else if (value == "abort") {
-          trigger.action = FailpointAction::kAbort;
-        } else {
-          bad_spec("unknown action '" + value + "'");
+  try {
+    for (const std::string_view text : split_spec(spec)) {
+      SpecClause clause(text, "clause");
+      if (clause.name().empty()) clause.fail("missing site name");
+      Trigger trigger;
+      trigger.at = clause.number<std::uint64_t>("at");
+      if (trigger.at == 0) clause.fail("at wants a 1-based hit index");
+      if (const auto action = clause.take("action")) {
+        const FailpointAction* known = std::find_if(
+            std::begin(kActions), std::end(kActions),
+            [&](FailpointAction a) { return to_string(a) == *action; });
+        if (known == std::end(kActions)) {
+          clause.fail("unknown action '" + std::string(*action) + "'");
         }
-      } else if (key == "keep") {
-        trigger.keep = static_cast<std::size_t>(parse_count("keep", value));
-      } else {
-        bad_spec("unknown key '" + key + "'");
+        trigger.action = *known;
       }
+      trigger.keep = static_cast<std::size_t>(
+          clause.take_number<std::uint64_t>("keep").value_or(trigger.keep));
+      clause.finish();
+      staged.emplace_back(clause.name(), trigger);
     }
-    if (!saw_at) bad_spec("clause '" + clause + "' is missing at=N");
-    staged.emplace_back(site, trigger);
+  } catch (const ContractViolation& e) {
+    throw std::runtime_error(std::string("failpoints: ") + e.what());
   }
 
   Impl& state = impl();

@@ -19,6 +19,9 @@
 //                    operation runs: the kill-at-random-instant harness
 //   keep=K  torn only: byte prefix to keep (default: half the content)
 //
+// Clauses follow the strict grammar of common/spec_parse.hpp: an unknown or
+// duplicate key or a malformed count rejects the whole schedule.
+//
 // Triggers are one-shot (a fired trigger disarms itself) but hit counters
 // keep counting, so a recovered run re-passing the same site does not
 // re-fire.  Every consumed trigger is deterministic: a pure function of

@@ -10,6 +10,7 @@
 
 #include "common/binio.hpp"
 #include "common/require.hpp"
+#include "common/spec_parse.hpp"
 #include "obs/registry.hpp"
 
 namespace lgg::core {
@@ -189,190 +190,101 @@ void FaultSchedule::validate_strict(const SdNetwork& net) const {
   }
 }
 
-namespace {
-
-[[noreturn]] void spec_fail(const std::string& clause, const std::string& why) {
-  LGG_REQUIRE(false, "bad --faults clause '" + clause + "': " + why);
-  std::abort();  // unreachable; LGG_REQUIRE(false) throws
-}
-
-std::int64_t spec_int(const std::string& clause, const std::string& key,
-                      const std::string& value) {
-  std::size_t used = 0;
-  std::int64_t parsed = 0;
-  try {
-    parsed = std::stoll(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size() || value.empty()) {
-    spec_fail(clause, key + " wants an integer, got '" + value + "'");
-  }
-  return parsed;
-}
-
-double spec_double(const std::string& clause, const std::string& key,
-                   const std::string& value) {
-  std::size_t used = 0;
-  double parsed = 0;
-  try {
-    parsed = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size() || value.empty()) {
-    spec_fail(clause, key + " wants a number, got '" + value + "'");
-  }
-  return parsed;
-}
-
-}  // namespace
-
 FaultSchedule parse_fault_spec(const std::string& spec) {
+  constexpr FaultKind kEventKinds[] = {
+      FaultKind::kCrash,    FaultKind::kSinkOutage, FaultKind::kSourceSurge,
+      FaultKind::kByzantine, FaultKind::kEdgeRemove, FaultKind::kEdgeAdd,
+      FaultKind::kNodeLeave, FaultKind::kNodeJoin,  FaultKind::kCapacityNudge};
   FaultSchedule schedule;
-  std::istringstream clauses(spec);
-  std::string clause;
-  bool any = false;
-  while (std::getline(clauses, clause, ';')) {
-    if (clause.empty()) continue;
-    any = true;
-    const auto colon = clause.find(':');
-    const std::string kind_name = clause.substr(0, colon);
-
-    // Parse key=value pairs into a small flat list.
-    std::vector<std::pair<std::string, std::string>> kv;
-    if (colon != std::string::npos) {
-      std::istringstream pairs(clause.substr(colon + 1));
-      std::string pair;
-      while (std::getline(pairs, pair, ',')) {
-        const auto eq = pair.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == pair.size()) {
-          spec_fail(clause, "expected key=value, got '" + pair + "'");
-        }
-        kv.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-      }
-    }
-    const auto take = [&](const std::string& key) -> const std::string* {
-      for (const auto& [k, v] : kv) {
-        if (k == key) return &v;
-      }
-      return nullptr;
-    };
-    const auto parse_mode = [&](CrashMode fallback) {
-      const std::string* m = take("mode");
-      if (m == nullptr) return fallback;
-      if (*m == "wipe") return CrashMode::kWipe;
-      if (*m == "freeze") return CrashMode::kFreeze;
-      spec_fail(clause, "mode must be wipe or freeze, got '" + *m + "'");
+  const std::vector<std::string_view> clauses = common::split_spec(spec);
+  LGG_REQUIRE(!clauses.empty(), "empty --faults spec");
+  for (const std::string_view text : clauses) {
+    common::SpecClause clause(text, "bad --faults clause");
+    const auto parse_mode = [&] {
+      const auto mode = clause.take("mode");
+      if (!mode || *mode == "wipe") return CrashMode::kWipe;
+      if (*mode == "freeze") return CrashMode::kFreeze;
+      clause.fail("mode must be wipe or freeze, got '" + std::string(*mode) +
+                  "'");
     };
 
-    if (kind_name == "random_crashes") {
+    if (clause.name() == "random_crashes") {
       RandomCrashConfig config;
-      const std::string* p = take("p");
-      if (p == nullptr) spec_fail(clause, "random_crashes needs p=<prob>");
-      config.p_per_step = spec_double(clause, "p", *p);
+      config.p_per_step = clause.number<double>("p");
       if (config.p_per_step < 0.0 || config.p_per_step > 1.0) {
-        spec_fail(clause, "p must be in [0, 1]");
+        clause.fail("p must be in [0, 1]");
       }
-      if (const std::string* down = take("down")) {
+      if (const auto down = clause.take("down")) {
         const auto dots = down->find("..");
-        if (dots == std::string::npos) {
-          config.min_down = config.max_down =
-              spec_int(clause, "down", *down);
-        } else {
-          config.min_down = spec_int(clause, "down", down->substr(0, dots));
-          config.max_down = spec_int(clause, "down", down->substr(dots + 2));
-        }
+        config.min_down = clause.parse<TimeStep>("down", down->substr(0, dots));
+        config.max_down =
+            dots == std::string_view::npos
+                ? config.min_down
+                : clause.parse<TimeStep>("down", down->substr(dots + 2));
         if (config.min_down < 1 || config.max_down < config.min_down) {
-          spec_fail(clause, "down wants 1 <= lo <= hi");
+          clause.fail("down wants 1 <= lo <= hi");
         }
       }
-      config.mode = parse_mode(CrashMode::kWipe);
+      config.mode = parse_mode();
+      clause.finish();
       schedule.set_random_crashes(config);
       continue;
     }
 
+    const auto* kind = std::find_if(
+        std::begin(kEventKinds), std::end(kEventKinds),
+        [&](FaultKind k) { return to_string(k) == clause.name(); });
+    if (kind == std::end(kEventKinds)) {
+      clause.fail("unknown fault kind '" + std::string(clause.name()) +
+                  "' (crash, sink_outage, surge, byzantine, "
+                  "random_crashes, edge_remove, edge_add, "
+                  "node_leave, node_join, nudge)");
+    }
     FaultEvent event;
-    if (kind_name == "crash") {
-      event.kind = FaultKind::kCrash;
-    } else if (kind_name == "sink_outage") {
-      event.kind = FaultKind::kSinkOutage;
-    } else if (kind_name == "surge") {
-      event.kind = FaultKind::kSourceSurge;
-    } else if (kind_name == "byzantine") {
-      event.kind = FaultKind::kByzantine;
-    } else if (kind_name == "edge_remove") {
-      event.kind = FaultKind::kEdgeRemove;
-    } else if (kind_name == "edge_add") {
-      event.kind = FaultKind::kEdgeAdd;
-    } else if (kind_name == "node_leave") {
-      event.kind = FaultKind::kNodeLeave;
-    } else if (kind_name == "node_join") {
-      event.kind = FaultKind::kNodeJoin;
-    } else if (kind_name == "nudge") {
-      event.kind = FaultKind::kCapacityNudge;
+    event.kind = *kind;
+    if (event.kind == FaultKind::kEdgeRemove ||
+        event.kind == FaultKind::kEdgeAdd) {
+      event.edge = clause.number<EdgeId>("edge");
+      if (event.edge < 0) clause.fail("edge must be >= 0");
     } else {
-      spec_fail(clause, "unknown fault kind '" + kind_name +
-                            "' (crash, sink_outage, surge, byzantine, "
-                            "random_crashes, edge_remove, edge_add, "
-                            "node_leave, node_join, nudge)");
+      event.node = clause.number<NodeId>("node");
+      if (event.node < 0) clause.fail("node must be >= 0");
     }
-    const bool edge_kind = event.kind == FaultKind::kEdgeRemove ||
-                           event.kind == FaultKind::kEdgeAdd;
-    if (edge_kind) {
-      const std::string* edge = take("edge");
-      if (edge == nullptr) spec_fail(clause, "missing edge=<id>");
-      event.edge = static_cast<EdgeId>(spec_int(clause, "edge", *edge));
-      if (event.edge < 0) spec_fail(clause, "edge must be >= 0");
-    } else {
-      const std::string* node = take("node");
-      if (node == nullptr) spec_fail(clause, "missing node=<id>");
-      event.node = static_cast<NodeId>(spec_int(clause, "node", *node));
-      if (event.node < 0) spec_fail(clause, "node must be >= 0");
-    }
-    if (const std::string* at = take("at")) {
-      event.at = spec_int(clause, "at", *at);
-      if (event.at < 0) spec_fail(clause, "at must be >= 0");
-    }
-    if (const std::string* dur = take("for")) {
+    event.at = clause.take_number<TimeStep>("at").value_or(event.at);
+    if (event.at < 0) clause.fail("at must be >= 0");
+    if (const auto duration = clause.take_number<TimeStep>("for")) {
       if (is_churn(event.kind)) {
-        spec_fail(clause, "churn events are instantaneous (no for=)");
+        clause.fail("churn events are instantaneous (no for=)");
       }
-      event.duration = spec_int(clause, "for", *dur);
+      event.duration = *duration;
       if (event.duration == 0 || event.duration < -1) {
-        spec_fail(clause, "for must be >= 1 (or -1 for forever)");
+        clause.fail("for must be >= 1 (or -1 for forever)");
       }
     }
-    event.mode = parse_mode(CrashMode::kWipe);
+    event.mode = parse_mode();
     if (event.kind == FaultKind::kCapacityNudge) {
-      const std::string* din = take("din");
-      const std::string* dout = take("dout");
-      if (din == nullptr && dout == nullptr) {
-        spec_fail(clause, "nudge needs din=<delta> and/or dout=<delta>");
+      const auto din = clause.take_number<Cap>("din");
+      const auto dout = clause.take_number<Cap>("dout");
+      if (!din && !dout) {
+        clause.fail("nudge needs din=<delta> and/or dout=<delta>");
       }
-      if (din != nullptr) event.din = spec_int(clause, "din", *din);
-      if (dout != nullptr) event.dout = spec_int(clause, "dout", *dout);
+      event.din = din.value_or(0);
+      event.dout = dout.value_or(0);
       if (event.din == 0 && event.dout == 0) {
-        spec_fail(clause, "nudge with din=0,dout=0 is a no-op");
+        clause.fail("nudge with din=0,dout=0 is a no-op");
       }
     }
     if (event.kind == FaultKind::kSourceSurge) {
-      const std::string* extra = take("extra");
-      if (extra == nullptr) spec_fail(clause, "surge needs extra=<packets>");
-      event.extra = spec_int(clause, "extra", *extra);
-      if (event.extra <= 0) spec_fail(clause, "extra must be > 0");
+      event.extra = clause.number<PacketCount>("extra");
+      if (event.extra <= 0) clause.fail("extra must be > 0");
     }
     if (event.kind == FaultKind::kByzantine) {
-      const std::string* declare = take("declare");
-      if (declare == nullptr) {
-        spec_fail(clause, "byzantine needs declare=<value>");
-      }
-      event.declare = spec_int(clause, "declare", *declare);
-      if (event.declare < 0) spec_fail(clause, "declare must be >= 0");
+      event.declare = clause.number<PacketCount>("declare");
+      if (event.declare < 0) clause.fail("declare must be >= 0");
     }
+    clause.finish();
     schedule.add(event);
   }
-  LGG_REQUIRE(any, "empty --faults spec");
   return schedule;
 }
 

@@ -156,7 +156,9 @@ class FaultSchedule {
   std::size_t churn_events_ = 0;  ///< count of is_churn entries in events_
 };
 
-/// Parses the `--faults` spec grammar: semicolon-separated clauses
+/// Parses the `--faults` spec grammar (docs/formats.md, "Fault schedule"):
+/// semicolon-separated clauses under the strict rules of
+/// common/spec_parse.hpp
 ///
 ///   crash:node=3,at=100,for=50,mode=wipe|freeze
 ///   sink_outage:node=5,at=200,for=30
@@ -169,9 +171,11 @@ class FaultSchedule {
 ///   node_join:node=3,at=400
 ///   nudge:node=2,at=50,din=1,dout=-1
 ///
-/// `for` defaults to -1 (until the end of the run) and is rejected on the
-/// instantaneous churn clauses.  Throws ContractViolation with a one-line
-/// description on any malformed clause.
+/// `at` defaults to 0 and `for` to -1 (until the end of the run); `for` is
+/// rejected on the instantaneous churn clauses, and every event clause also
+/// reads `mode`.  Throws ContractViolation with a one-line description on
+/// any malformed clause, including a key its kind does not read and a node
+/// or edge id outside 32 bits.
 FaultSchedule parse_fault_spec(const std::string& spec);
 
 /// Round-trips a schedule back to the spec grammar (crash dumps, logs).

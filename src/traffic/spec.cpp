@@ -1,190 +1,83 @@
 #include "traffic/spec.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <map>
 #include <string>
 
-#include "common/require.hpp"
+#include "common/spec_parse.hpp"
 #include "traffic/adversary.hpp"
 
 namespace lgg::traffic {
 
 namespace {
 
-[[noreturn]] void bad_spec(std::string_view spec, const std::string& what) {
-  throw ContractViolation("arrival spec \"" + std::string(spec) + "\": " +
-                          what);
-}
-
-/// key → value map with duplicate detection.
-std::map<std::string, std::string, std::less<>> parse_pairs(
-    std::string_view spec, std::string_view body) {
-  std::map<std::string, std::string, std::less<>> kv;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t comma = body.find(',', pos);
-    const std::string_view pair =
-        body.substr(pos, comma == std::string_view::npos ? std::string_view::npos
-                                                         : comma - pos);
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 >= pair.size()) {
-      bad_spec(spec, "expected key=value, got \"" + std::string(pair) + "\"");
-    }
-    const auto key = std::string(pair.substr(0, eq));
-    if (!kv.emplace(key, std::string(pair.substr(eq + 1))).second) {
-      bad_spec(spec, "duplicate key \"" + key + "\"");
-    }
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
-  }
-  return kv;
-}
-
-class Args {
- public:
-  Args(std::string_view spec, std::string_view body)
-      : spec_(spec), kv_(parse_pairs(spec, body)) {}
-  /// Empty-body overload: a bare name with no pairs.
-  explicit Args(std::string_view spec) : spec_(spec) {}
-
-  [[nodiscard]] double number(std::string_view key) {
-    const std::string raw = take(key, /*required=*/true);
-    return to_number(key, raw);
-  }
-  [[nodiscard]] double number_or(std::string_view key, double fallback) {
-    const std::string raw = take(key, /*required=*/false);
-    return raw.empty() ? fallback : to_number(key, raw);
-  }
-  [[nodiscard]] std::int64_t integer(std::string_view key) {
-    return to_integer(key, number(key));
-  }
-  [[nodiscard]] std::int64_t integer_or(std::string_view key,
-                                        std::int64_t fallback) {
-    const std::string raw = take(key, /*required=*/false);
-    return raw.empty() ? fallback : to_integer(key, to_number(key, raw));
-  }
-  [[nodiscard]] std::string word_or(std::string_view key,
-                                    std::string fallback) {
-    const std::string raw = take(key, /*required=*/false);
-    return raw.empty() ? std::move(fallback) : raw;
-  }
-
-  /// Every key must have been consumed.
-  void finish() {
-    if (!kv_.empty()) {
-      bad_spec(spec_, "unknown key \"" + kv_.begin()->first + "\"");
-    }
-  }
-
- private:
-  std::string take(std::string_view key, bool required) {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) {
-      if (required) bad_spec(spec_, "missing key \"" + std::string(key) + "\"");
-      return {};
-    }
-    std::string value = std::move(it->second);
-    kv_.erase(it);
-    return value;
-  }
-
-  [[nodiscard]] double to_number(std::string_view key,
-                                 const std::string& raw) {
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(raw.c_str(), &end);
-    if (errno != 0 || end == raw.c_str() || *end != '\0') {
-      bad_spec(spec_, "key \"" + std::string(key) + "\": bad number \"" + raw +
-                          "\"");
-    }
-    return value;
-  }
-
-  [[nodiscard]] std::int64_t to_integer(std::string_view key, double value) {
-    const auto as_int = static_cast<std::int64_t>(value);
-    if (static_cast<double>(as_int) != value) {
-      bad_spec(spec_, "key \"" + std::string(key) + "\": expected an integer");
-    }
-    return as_int;
-  }
-
-  std::string_view spec_;
-  std::map<std::string, std::string, std::less<>> kv_;
-};
-
-AdversaryStrategy parse_strategy(std::string_view spec,
-                                 const std::string& word) {
+AdversaryStrategy parse_strategy(const common::SpecClause& args,
+                                 std::string_view word) {
   if (word == "hoard") return AdversaryStrategy::kHoardDump;
   if (word == "sweep") return AdversaryStrategy::kRotatingSweep;
   if (word == "queue_aware") return AdversaryStrategy::kQueueAware;
-  bad_spec(spec, "unknown strategy \"" + word +
-                     "\" (hoard | sweep | queue_aware)");
+  args.fail("unknown strategy \"" + std::string(word) +
+            "\" (hoard | sweep | queue_aware)");
 }
 
 }  // namespace
 
 std::unique_ptr<core::ArrivalProcess> make_arrival(std::string_view spec) {
-  const std::size_t colon = spec.find(':');
-  const std::string_view name =
-      colon == std::string_view::npos ? spec : spec.substr(0, colon);
-  const bool has_body = colon != std::string_view::npos;
-  const std::string_view body = has_body ? spec.substr(colon + 1)
-                                         : std::string_view{};
-  if (has_body && body.empty()) bad_spec(spec, "empty parameter list");
-  Args args = has_body ? Args(spec, body) : Args(spec);
-
+  common::SpecClause args(spec, "arrival spec");
+  const std::string_view name = args.name();
   std::unique_ptr<core::ArrivalProcess> process;
   if (name == "exact") {
     process = std::make_unique<core::ExactArrival>();
   } else if (name == "scaled") {
-    process = std::make_unique<core::ScaledArrival>(args.number("factor"));
+    process =
+        std::make_unique<core::ScaledArrival>(args.number<double>("factor"));
   } else if (name == "bernoulli") {
-    process = std::make_unique<core::BernoulliArrival>(args.number("p"));
+    process =
+        std::make_unique<core::BernoulliArrival>(args.number<double>("p"));
   } else if (name == "uniform") {
-    process = std::make_unique<core::UniformArrival>(args.number("mean"));
+    process =
+        std::make_unique<core::UniformArrival>(args.number<double>("mean"));
   } else if (name == "poisson") {
-    process = std::make_unique<core::PoissonArrival>(args.number("mean"));
+    process =
+        std::make_unique<core::PoissonArrival>(args.number<double>("mean"));
   } else if (name == "geometric") {
-    process = std::make_unique<core::GeometricArrival>(args.number("mean"));
+    process =
+        std::make_unique<core::GeometricArrival>(args.number<double>("mean"));
   } else if (name == "burst") {
-    const double high = args.number("high");
-    const double low = args.number("low");
-    const std::int64_t len = args.integer("len");
-    const std::int64_t period = args.integer("period");
+    const double high = args.number<double>("high");
+    const double low = args.number<double>("low");
+    const auto len = args.number<TimeStep>("len");
+    const auto period = args.number<TimeStep>("period");
     process = std::make_unique<core::BurstArrival>(high, low, len, period);
   } else if (name == "diurnal") {
-    const double mean = args.number("mean");
-    const double amp = args.number("amp");
-    const std::int64_t period = args.integer("period");
+    const double mean = args.number<double>("mean");
+    const double amp = args.number<double>("amp");
+    const auto period = args.number<TimeStep>("period");
     process = std::make_unique<core::DiurnalArrival>(mean, amp, period);
   } else if (name == "pareto") {
-    const double alpha = args.number("alpha");
-    const double mean = args.number("mean");
+    const double alpha = args.number<double>("alpha");
+    const double mean = args.number<double>("mean");
     process = std::make_unique<core::ParetoArrival>(alpha, mean);
   } else if (name == "leaky") {
-    const double rho = args.number("rho");
-    const double sigma = args.number("sigma");
+    const double rho = args.number<double>("rho");
+    const double sigma = args.number<double>("sigma");
     process = std::make_unique<core::LeakyBucketArrival>(rho, sigma);
   } else if (name == "token_bucket") {
-    const double r = args.number("r");
-    const double b = args.number("b");
-    const std::int64_t period = args.integer("period");
+    const double r = args.number<double>("r");
+    const double b = args.number<double>("b");
+    const auto period = args.number<TimeStep>("period");
     process = std::make_unique<core::TokenBucketArrival>(r, b, period);
   } else if (name == "adversary") {
     AdversaryOptions opt;
-    opt.strategy = parse_strategy(
-        spec, args.word_or("strategy", std::string(to_string(opt.strategy))));
-    opt.rho = args.number_or("rho", opt.rho);
-    opt.sigma = args.number_or("sigma", opt.sigma);
-    opt.period = args.integer_or("period", opt.period);
-    const std::int64_t fanout = args.integer_or("fanout", opt.fanout);
-    LGG_REQUIRE(fanout >= 0 && fanout <= 0xFFFFFFFFll,
-                "arrival spec: fanout out of range");
-    opt.fanout = static_cast<std::uint32_t>(fanout);
+    if (const auto word = args.take("strategy")) {
+      opt.strategy = parse_strategy(args, *word);
+    }
+    opt.rho = args.take_number<double>("rho").value_or(opt.rho);
+    opt.sigma = args.take_number<double>("sigma").value_or(opt.sigma);
+    opt.period = args.take_number<TimeStep>("period").value_or(opt.period);
+    opt.fanout =
+        args.take_number<std::uint32_t>("fanout").value_or(opt.fanout);
     process = std::make_unique<AdversarialArrival>(opt);
   } else {
-    bad_spec(spec, "unknown arrival process \"" + std::string(name) + "\"");
+    args.fail("unknown arrival process \"" + std::string(name) + "\"");
   }
   args.finish();
   return process;

@@ -19,9 +19,11 @@
 //   adversary[:strategy=hoard|sweep|queue_aware][,rho=<f>][,sigma=<f>]
 //            [,period=<u>][,fanout=<u>]
 //
-// The grammar is strict: an unknown process name, unknown/duplicate key,
-// missing required key, or malformed number throws lgg::ContractViolation
-// (the CLI usage contract maps that to exit code 2).  Adversary keys are
+// The clause and number syntax is the shared strict grammar of
+// common/spec_parse.hpp (<u> keys take plain integers, <f> keys finite
+// numbers): an unknown process name, unknown/duplicate/missing key, or
+// malformed number throws lgg::ContractViolation (the CLI usage contract
+// maps that to exit code 2).  Adversary keys are
 // optional and default to AdversaryOptions{}; every other process's keys
 // are required.  Numeric validity (rho >= 0, period >= 1, ...) is then
 // enforced by the process constructors under the same exception type, so

@@ -118,6 +118,22 @@ TEST(ScenarioIo, RejectsUnknownKeys) {
       ContractViolation);
 }
 
+TEST(ScenarioIo, RejectsNonFiniteAndOutOfRangeNumbers) {
+  ScenarioConfig c;
+  c.network = core::scenarios::single_path(3, 1, 2);
+  const std::string text = to_string(c);
+  const auto pos = text.find("network\n");
+  ASSERT_NE(pos, std::string::npos);
+  // write_scenario drops a NaN arrival_scale, so reading one would break
+  // the write-read identity; a shard count wider than 32 bits would wrap.
+  for (const char* line : {"arrival_scale nan\n", "divergence_bound inf\n",
+                           "shards 4294967296\n", "seed 1 \n"}) {
+    std::string bad = text;
+    bad.insert(pos, line);
+    EXPECT_THROW((void)scenario_from_string(bad), ContractViolation) << line;
+  }
+}
+
 TEST(Generator, IsDeterministic) {
   ScenarioGenerator a(99);
   ScenarioGenerator b(99);

@@ -33,7 +33,8 @@ TEST(Failpoint, MalformedSpecsThrowAndArmNothing) {
   registry.clear();
   for (const char* bad :
        {"no-colon", ":at=1", "site:", "site:at", "site:at=0", "site:at=x",
-        "site:at=1,action=explode", "site:at=1,huh=2", "site:at=1,,"}) {
+        "site:at=1,action=explode", "site:at=1,huh=2", "site:at=1,,",
+        "site:at=1,at=2"}) {
     EXPECT_THROW(registry.arm(bad), std::runtime_error) << bad;
     EXPECT_FALSE(registry.armed()) << bad;
   }

@@ -73,6 +73,9 @@ TEST(ChurnSpec, RejectsMalformedChurnClauses) {
   EXPECT_THROW(parse_fault_spec("nudge:node=1,at=5"), ContractViolation);
   EXPECT_THROW(parse_fault_spec("nudge:node=1,at=5,din=0,dout=0"),
                ContractViolation);
+  // Edge ids are 32-bit: a wider id is rejected, not wrapped.
+  EXPECT_THROW(parse_fault_spec("edge_remove:edge=4294967296,at=1"),
+               ContractViolation);
 }
 
 TEST(ChurnSchedule, ValidateChecksEdgeRange) {

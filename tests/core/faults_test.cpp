@@ -53,6 +53,28 @@ TEST(FaultSpec, RejectsMalformedClauses) {
   EXPECT_THROW(parse_fault_spec("random_crashes:p=0.1,down=5..2"),
                ContractViolation);
   EXPECT_THROW(parse_fault_spec("crash:node"), ContractViolation);
+  // Unknown and duplicate keys, out-of-type ids, and numbers that are not
+  // the whole value never run a different experiment.
+  EXPECT_THROW(parse_fault_spec("crash:node=1,fro=5"), ContractViolation);
+  EXPECT_THROW(parse_fault_spec("crash:node=1,at=1,at=2"), ContractViolation);
+  EXPECT_THROW(parse_fault_spec("crash:node=4294967297"), ContractViolation);
+  EXPECT_THROW(parse_fault_spec("crash:node= 1"), ContractViolation);
+  EXPECT_THROW(parse_fault_spec("crash:node=+1"), ContractViolation);
+}
+
+TEST(FaultSpec, AcceptsEveryKeyItsKindReads) {
+  // Strictness rejects only keys a kind never reads: mode= and for=-1 stay
+  // valid on every windowed kind, mode= on churn kinds, and empty clauses
+  // between semicolons are skipped.
+  for (const char* spec :
+       {"crash:node=1,at=0,for=-1,mode=freeze",
+        "sink_outage:node=1,for=-1,mode=wipe",
+        "surge:node=0,extra=1,mode=freeze", "byzantine:node=2,declare=0,for=-1",
+        "edge_remove:edge=1,at=2,mode=wipe", "nudge:node=1,din=1,mode=freeze",
+        "random_crashes:p=0.1,down=3,mode=wipe", "crash:node=1;",
+        "crash:node=1;;surge:node=0,extra=1"}) {
+    EXPECT_NO_THROW((void)parse_fault_spec(spec)) << spec;
+  }
 }
 
 TEST(FaultSpec, RoundTripsThroughToString) {

@@ -84,6 +84,7 @@ TEST(ArrivalSpec, RejectsMalformedSpecs) {
       "exact:x=1",                           // keys on a keyless process
       "burst:high=2,low=0,len=2",            // missing period
       "burst:high=2,low=0,len=2.5,period=5", // non-integer integer key
+      "burst:high=2,low=0,len=2.0,period=5", // integer keys are plain integers
       "token_bucket:r=0.5,b=10,period=0",    // ctor validation propagates
       "leaky:rho=-0.5,sigma=8",              // negative rho
       "leaky:rho=nan,sigma=8",               // non-finite

@@ -23,7 +23,6 @@
 // Exit codes (common/exit_codes.hpp): 0 ok / 1 diverged / 2 usage error /
 // 3 invariant violation (soak: >= 1 finding) / 4 timeout, watchdog kill,
 // or SIGINT/SIGTERM interruption.
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,8 +37,11 @@
 #include "chaos/scenario.hpp"
 #include "chaos/shrink.hpp"
 #include "common/exit_codes.hpp"
+#include "common/spec_parse.hpp"
 
 namespace {
+
+using lgg::common::parse_number;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
@@ -52,18 +54,6 @@ namespace {
       "       %s replay FILE [--expect OUTCOME_FILE]\n",
       argv0, argv0, argv0);
   std::exit(lgg::kExitUsage);
-}
-
-long long parse_int(const char* what, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "error: %s wants an integer, got '%s'\n", what,
-                 text);
-    std::exit(lgg::kExitUsage);
-  }
-  return v;
 }
 
 void print_outcome(const lgg::chaos::ScenarioOutcome& outcome) {
@@ -91,11 +81,11 @@ void print_outcome(const lgg::chaos::ScenarioOutcome& outcome) {
 
 int cmd_soak(int argc, char** argv) {
   using namespace lgg;
-  long long scenarios = 20;
+  std::int64_t scenarios = 20;
   std::uint64_t seed = 1;
   std::vector<std::string> from;
-  long long time_budget_ms = 0;
-  long long shards = 0;
+  std::int64_t time_budget_ms = 0;
+  std::uint32_t shards = 0;
   bool churn_bias = false;
   bool adversary_bias = false;
   bool crash_bias = false;
@@ -111,32 +101,35 @@ int cmd_soak(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scenarios") {
-      scenarios = parse_int("--scenarios", next("--scenarios"));
+      scenarios =
+          parse_number<std::int64_t>("--scenarios", next("--scenarios"));
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(parse_int("--seed", next("--seed")));
+      seed = static_cast<std::uint64_t>(
+          parse_number<std::int64_t>("--seed", next("--seed")));
     } else if (arg == "--from") {
       from.emplace_back(next("--from"));
     } else if (arg == "--out") {
       options.out_dir = next("--out");
     } else if (arg == "--deadline-ms") {
-      options.deadline_ms = parse_int("--deadline-ms", next("--deadline-ms"));
+      options.deadline_ms =
+          parse_number<std::int64_t>("--deadline-ms", next("--deadline-ms"));
     } else if (arg == "--max-attempts") {
-      options.max_attempts = static_cast<int>(
-          parse_int("--max-attempts", next("--max-attempts")));
+      options.max_attempts =
+          parse_number<int>("--max-attempts", next("--max-attempts"));
     } else if (arg == "--backoff-ms") {
       options.backoff_initial_ms =
-          parse_int("--backoff-ms", next("--backoff-ms"));
+          parse_number<std::int64_t>("--backoff-ms", next("--backoff-ms"));
     } else if (arg == "--time-budget-ms") {
-      time_budget_ms =
-          parse_int("--time-budget-ms", next("--time-budget-ms"));
+      time_budget_ms = parse_number<std::int64_t>("--time-budget-ms",
+                                                  next("--time-budget-ms"));
     } else if (arg == "--shrink") {
       options.shrink_findings = true;
     } else if (arg == "--shards") {
       // Run every scenario on the shard engine (K shards).  Trajectories
       // are bitwise identical to serial, so this soaks the engine's
       // concurrency under the same oracles.
-      shards = parse_int("--shards", next("--shards"));
-      if (shards <= 0) {
+      shards = parse_number<std::uint32_t>("--shards", next("--shards"));
+      if (shards == 0) {
         std::fprintf(stderr, "error: --shards wants a positive count\n");
         std::exit(kExitUsage);
       }
@@ -173,7 +166,7 @@ int cmd_soak(int argc, char** argv) {
     for (const std::string& path : from) {
       if (chaos::Executor::stop_requested() || !budget_left()) break;
       chaos::ScenarioConfig config = chaos::read_scenario_file(path);
-      if (shards > 0) config.shards = static_cast<std::uint32_t>(shards);
+      if (shards > 0) config.shards = shards;
       const chaos::RunClass result = executor.run_one(config);
       std::printf("%s: %s\n", path.c_str(),
                   std::string(to_string(result)).c_str());
@@ -184,10 +177,10 @@ int cmd_soak(int argc, char** argv) {
     if (adversary_bias) gen_options.p_adversarial = 1.0;
     if (crash_bias) gen_options.p_crash_recovery = 1.0;
     chaos::ScenarioGenerator generator(seed, gen_options);
-    for (long long i = 0; i < scenarios; ++i) {
+    for (std::int64_t i = 0; i < scenarios; ++i) {
       if (chaos::Executor::stop_requested() || !budget_left()) break;
       chaos::ScenarioConfig config = generator.next();
-      if (shards > 0) config.shards = static_cast<std::uint32_t>(shards);
+      if (shards > 0) config.shards = shards;
       const chaos::RunClass result = executor.run_one(config);
       std::printf("%s seed=%llu: %s\n", config.label.c_str(),
                   static_cast<unsigned long long>(config.seed),
@@ -208,7 +201,7 @@ int cmd_shrink(int argc, char** argv) {
   namespace fs = std::filesystem;
   std::string input;
   std::string out_dir = "chaos-shrink";
-  long long probe_deadline_ms = 5000;
+  std::int64_t probe_deadline_ms = 5000;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* what) -> const char* {
@@ -221,8 +214,8 @@ int cmd_shrink(int argc, char** argv) {
     if (arg == "--out") {
       out_dir = next("--out");
     } else if (arg == "--probe-deadline-ms") {
-      probe_deadline_ms =
-          parse_int("--probe-deadline-ms", next("--probe-deadline-ms"));
+      probe_deadline_ms = parse_number<std::int64_t>("--probe-deadline-ms",
+                                                  next("--probe-deadline-ms"));
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown shrink option %s\n", arg.c_str());
       std::exit(kExitUsage);

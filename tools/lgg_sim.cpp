@@ -107,6 +107,12 @@
 //     --profile            print the per-phase step profile after the run
 //     --analyze-only       print the feasibility report and exit
 //
+// Every option is one row of the `flags` table in main(): its destination
+// and the closed range its value must fall in.  Numbers parse under the
+// strict rules of common/spec_parse.hpp (the whole string, in range for the
+// destination type, finite), so a malformed, non-finite or out-of-range
+// value is a usage error (exit 2), never a wrapped or ignored one.
+//
 // Exit codes (common/exit_codes.hpp): 0 stable/ok, 1 diverging verdict,
 // 2 usage error or exception, 3 packet-conservation violation, 4 deadline
 // expired or stopped by SIGINT/SIGTERM, 5 recovery exhausted (the
@@ -121,17 +127,20 @@
 //   edge 0 1
 //   role 0 1 0 0
 //   role 1 0 2 0' | lgg_sim --steps 5000
+#include <algorithm>
 #include <array>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 
 #include <unistd.h>
 
@@ -139,6 +148,8 @@
 #include "baselines/protocol_registry.hpp"
 #include "common/exit_codes.hpp"
 #include "common/failpoint.hpp"
+#include "common/require.hpp"
+#include "common/spec_parse.hpp"
 #include "control/governor.hpp"
 #include "control/sentinel.hpp"
 #include "core/bounds.hpp"
@@ -174,53 +185,20 @@ namespace {
   std::exit(lgg::kExitUsage);
 }
 
-// Strict numeric parsing: trailing garbage, empty strings, and overflow are
-// rejected with a one-line error instead of silently becoming 0 (atoll).
+using FlagTarget =
+    std::variant<bool*, std::string*, int*, std::uint32_t*, std::int64_t*,
+                 std::uint64_t*, double*, std::array<double, 2>*>;
 
-long long parse_int(const char* what, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "error: %s wants an integer, got '%s'\n", what,
-                 text);
-    std::exit(lgg::kExitUsage);
-  }
-  return v;
-}
-
-std::uint64_t parse_uint(const char* what, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || *text == '-') {
-    std::fprintf(stderr, "error: %s wants a non-negative integer, got '%s'\n",
-                 what, text);
-    std::exit(lgg::kExitUsage);
-  }
-  return v;
-}
-
-double parse_double(const char* what, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "error: %s wants a number, got '%s'\n", what, text);
-    std::exit(lgg::kExitUsage);
-  }
-  return v;
-}
-
-double parse_probability(const char* what, const char* text) {
-  const double v = parse_double(what, text);
-  if (v < 0.0 || v > 1.0) {
-    std::fprintf(stderr, "error: %s wants a probability in [0, 1], got %s\n",
-                 what, text);
-    std::exit(lgg::kExitUsage);
-  }
-  return v;
-}
+/// One command-line option: where its value goes and the closed range the
+/// value must fall in.  A bool target is a switch that takes no value; a
+/// string target with min >= 1 must be non-empty; an array target takes two
+/// values.  Numbers parse under the strict rules of common/spec_parse.hpp.
+struct Flag {
+  const char* name;
+  FlagTarget target;
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
+};
 
 }  // namespace
 
@@ -233,193 +211,124 @@ int main(int argc, char** argv) {
   double arrival_scale = -1.0;
   std::string arrival_spec;
   bool matching = false;
-  double churn_off = -1.0, churn_on = -1.0;
+  std::array<double, 2> churn{-1.0, -1.0};  // P_OFF, P_ON; < 0: static
   std::string faults_spec;
   std::string checkpoint_path;
   TimeStep checkpoint_every = 0;
   std::string resume_path;
-  long long generations = 1;
-  long long max_recoveries = 0;
+  int generations = 1;
+  int max_recoveries = 0;
   bool recover_mode = false;
   std::string failpoints_spec;
   std::string csv_path;
   std::string telemetry_path;
   TimeStep telemetry_every = 100;
-  long long flight_capacity = -1;  // -1 = default (256 with --telemetry)
-  long long hotspot_k = 0;
+  std::int64_t flight_capacity = -1;  // -1 = default (256 with --telemetry)
+  std::int64_t hotspot_k = 0;
   std::string trace_path;
-  long long trace_capacity = 1 << 14;
+  std::int64_t trace_capacity = 1 << 14;
   std::string statusz_path;
   TimeStep statusz_every = 1000;
-  long long deadline_ms = 0;
+  std::int64_t deadline_ms = 0;
   std::string input_path;
   bool analyze_only = false;
   bool profile = false;
-  long long shards = 0;   // 0 = serial engine
-  long long threads = 0;  // 0 = min(shards, hardware)
+  std::uint32_t shards = 0;   // 0 = serial engine
+  std::uint32_t threads = 0;  // 0 = min(shards, hardware)
   bool governor = false;
   double governor_target_eps = 0.05;
   bool brownout = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        usage(argv[0]);
+  const Flag flags[] = {
+      {"--steps", &steps, 1},
+      {"--seed", &seed},
+      {"--protocol", &protocol},
+      {"--loss", &loss, 0, 1},
+      {"--arrival-scale", &arrival_scale, 0},
+      {"--arrival", &arrival_spec, 1},
+      {"--matching", &matching},
+      {"--churn", &churn, 0, 1},
+      {"--faults", &faults_spec},
+      {"--checkpoint", &checkpoint_path},
+      {"--checkpoint-every", &checkpoint_every, 1},
+      {"--resume", &resume_path},
+      {"--generations", &generations, 1},
+      {"--max-recoveries", &max_recoveries, 0},
+      {"--recover", &recover_mode},
+      {"--failpoints", &failpoints_spec, 1},
+      {"--csv", &csv_path},
+      {"--telemetry", &telemetry_path},
+      {"--telemetry-every", &telemetry_every, 1},
+      {"--flight-recorder", &flight_capacity, 0},
+      {"--flight-recorder-capacity", &flight_capacity, 0},
+      {"--hotspots", &hotspot_k, 1},
+      {"--trace-out", &trace_path},
+      {"--trace-capacity", &trace_capacity, 1},
+      {"--statusz", &statusz_path},
+      {"--statusz-every", &statusz_every, 0},
+      {"--deadline-ms", &deadline_ms, 1},
+      {"--governor", &governor},
+      {"--governor-target-eps", &governor_target_eps, 0},
+      {"--brownout", &brownout},
+      {"--shards", &shards, 1},
+      {"--threads", &threads, 1},
+      {"--profile", &profile},
+      {"--analyze-only", &analyze_only},
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg == "--help" || arg == "-h") usage(argv[0]);
+      const Flag* flag =
+          std::find_if(std::begin(flags), std::end(flags),
+                       [&](const Flag& f) { return arg == f.name; });
+      if (flag == std::end(flags)) {
+        if (!arg.empty() && arg[0] == '-') {
+          std::fprintf(stderr, "unknown option %s\n", argv[i]);
+          usage(argv[0]);
+        }
+        input_path = arg;
+        continue;
       }
-      return argv[++i];
-    };
-    if (arg == "--steps") {
-      steps = parse_int("--steps", next("--steps"));
-      if (steps <= 0) {
-        std::fprintf(stderr, "error: --steps wants a positive count\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--seed") {
-      seed = parse_uint("--seed", next("--seed"));
-    } else if (arg == "--protocol") {
-      protocol = next("--protocol");
-    } else if (arg == "--loss") {
-      loss = parse_probability("--loss", next("--loss"));
-    } else if (arg == "--arrival-scale") {
-      arrival_scale = parse_double("--arrival-scale", next("--arrival-scale"));
-      if (arrival_scale < 0.0) {
-        std::fprintf(stderr, "error: --arrival-scale wants a factor >= 0\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--arrival") {
-      arrival_spec = next("--arrival");
-      if (arrival_spec.empty()) {
-        std::fprintf(stderr, "error: --arrival wants a spec\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--matching") {
-      matching = true;
-    } else if (arg == "--churn") {
-      churn_off = parse_probability("--churn P_OFF", next("--churn"));
-      churn_on = parse_probability("--churn P_ON", next("--churn"));
-    } else if (arg == "--faults") {
-      faults_spec = next("--faults");
-    } else if (arg == "--checkpoint") {
-      checkpoint_path = next("--checkpoint");
-    } else if (arg == "--checkpoint-every") {
-      checkpoint_every =
-          parse_int("--checkpoint-every", next("--checkpoint-every"));
-      if (checkpoint_every <= 0) {
-        std::fprintf(stderr,
-                     "error: --checkpoint-every wants a positive interval\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--resume") {
-      resume_path = next("--resume");
-    } else if (arg == "--generations") {
-      generations = parse_int("--generations", next("--generations"));
-      if (generations < 1) {
-        std::fprintf(stderr, "error: --generations wants a count >= 1\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--max-recoveries") {
-      max_recoveries =
-          parse_int("--max-recoveries", next("--max-recoveries"));
-      if (max_recoveries < 0) {
-        std::fprintf(stderr, "error: --max-recoveries wants a count >= 0\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--recover") {
-      recover_mode = true;
-    } else if (arg == "--failpoints") {
-      failpoints_spec = next("--failpoints");
-      if (failpoints_spec.empty()) {
-        std::fprintf(stderr, "error: --failpoints wants a spec\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--csv") {
-      csv_path = next("--csv");
-    } else if (arg == "--telemetry") {
-      telemetry_path = next("--telemetry");
-    } else if (arg == "--telemetry-every") {
-      telemetry_every =
-          parse_int("--telemetry-every", next("--telemetry-every"));
-      if (telemetry_every <= 0) {
-        std::fprintf(stderr,
-                     "error: --telemetry-every wants a positive interval\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--flight-recorder" ||
-               arg == "--flight-recorder-capacity") {
-      flight_capacity = parse_int(arg.c_str(), next(arg.c_str()));
-      if (flight_capacity < 0) {
-        std::fprintf(stderr, "error: %s wants a capacity >= 0\n",
-                     arg.c_str());
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--hotspots") {
-      hotspot_k = parse_int("--hotspots", next("--hotspots"));
-      if (hotspot_k <= 0) {
-        std::fprintf(stderr, "error: --hotspots wants a positive K\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--trace-out") {
-      trace_path = next("--trace-out");
-    } else if (arg == "--trace-capacity") {
-      trace_capacity = parse_int("--trace-capacity", next("--trace-capacity"));
-      if (trace_capacity <= 0) {
-        std::fprintf(stderr,
-                     "error: --trace-capacity wants a positive count\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--statusz") {
-      statusz_path = next("--statusz");
-    } else if (arg == "--statusz-every") {
-      statusz_every = parse_int("--statusz-every", next("--statusz-every"));
-      if (statusz_every < 0) {
-        std::fprintf(stderr,
-                     "error: --statusz-every wants an interval >= 0\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--deadline-ms") {
-      deadline_ms = parse_int("--deadline-ms", next("--deadline-ms"));
-      if (deadline_ms <= 0) {
-        std::fprintf(stderr, "error: --deadline-ms wants a positive budget\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--governor") {
-      governor = true;
-    } else if (arg == "--governor-target-eps") {
-      governor_target_eps = parse_double("--governor-target-eps",
-                                         next("--governor-target-eps"));
-      if (governor_target_eps < 0.0) {
-        std::fprintf(stderr,
-                     "error: --governor-target-eps wants a factor >= 0\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--brownout") {
-      brownout = true;
-    } else if (arg == "--shards") {
-      shards = parse_int("--shards", next("--shards"));
-      if (shards <= 0) {
-        std::fprintf(stderr, "error: --shards wants a positive count\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--threads") {
-      threads = parse_int("--threads", next("--threads"));
-      if (threads <= 0) {
-        std::fprintf(stderr, "error: --threads wants a positive count\n");
-        return lgg::kExitUsage;
-      }
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--analyze-only") {
-      analyze_only = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      usage(argv[0]);
-    } else {
-      input_path = arg;
+      const auto next = [&]() -> std::string_view {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "missing value for %s\n", flag->name);
+          usage(argv[0]);
+        }
+        return argv[++i];
+      };
+      const auto number = [&]<typename T>(T* value) {
+        *value = common::parse_number<T>(flag->name, next());
+        const auto v = static_cast<double>(*value);
+        if (v < flag->min || v > flag->max) {
+          std::ostringstream why;
+          why << flag->name << " wants a value in [" << flag->min << ", "
+              << flag->max << "], got " << *value;
+          throw ContractViolation(why.str());
+        }
+      };
+      std::visit(
+          [&](auto* target) {
+            using T = std::remove_pointer_t<decltype(target)>;
+            if constexpr (std::is_same_v<T, bool>) {
+              *target = true;
+            } else if constexpr (std::is_same_v<T, std::string>) {
+              *target = next();
+              if (target->empty() && flag->min >= 1) {
+                throw ContractViolation(std::string(flag->name) +
+                                        " wants a non-empty value");
+              }
+            } else if constexpr (std::is_same_v<T, std::array<double, 2>>) {
+              for (double& value : *target) number(&value);
+            } else {
+              number(target);
+            }
+          },
+          flag->target);
     }
+  } catch (const ContractViolation& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return lgg::kExitUsage;
   }
   if (checkpoint_every > 0 && checkpoint_path.empty()) {
     std::fprintf(stderr,
@@ -519,9 +428,8 @@ int main(int argc, char** argv) {
     if (matching) {
       sim.set_scheduler(std::make_unique<core::GreedyMatchingScheduler>());
     }
-    if (churn_off >= 0) {
-      sim.set_dynamics(
-          std::make_unique<core::RandomChurn>(churn_off, churn_on));
+    if (churn[0] >= 0) {
+      sim.set_dynamics(std::make_unique<core::RandomChurn>(churn[0], churn[1]));
     }
     if (!fault_schedule.empty()) {
       // The injector's RNG stream derives from the master seed so faulted
@@ -568,10 +476,7 @@ int main(int argc, char** argv) {
     // Sharding may attach before --resume: the shard plan derives from the
     // base graph only and the engine holds no trajectory state, so the
     // restored run is bitwise identical either way.
-    if (shards > 0) {
-      sim.enable_sharding(static_cast<std::uint32_t>(shards),
-                          static_cast<std::size_t>(threads));
-    }
+    if (shards > 0) sim.enable_sharding(shards, threads);
     if (!resume_path.empty()) {
       core::restore_checkpoint_file(sim, resume_path);
       std::printf("resumed from %s at step %lld\n", resume_path.c_str(),
@@ -583,8 +488,7 @@ int main(int argc, char** argv) {
     // would have written next.
     std::optional<core::CheckpointChain::Recovery> recovered;
     if (recover_mode) {
-      core::CheckpointChain chain(checkpoint_path,
-                                  static_cast<int>(generations));
+      core::CheckpointChain chain(checkpoint_path, generations);
       if (core::CheckpointChain::read_manifest(chain.manifest_path())
               .has_value()) {
         recovered = chain.recover(sim, [&](std::uint64_t offset) {
@@ -661,8 +565,8 @@ int main(int argc, char** argv) {
       sopts.repro_config = faults_spec;
       sopts.statusz_path = statusz_path;
       sopts.statusz_every = statusz_every;
-      sopts.generations = static_cast<int>(generations);
-      sopts.max_recoveries = static_cast<int>(max_recoveries);
+      sopts.generations = generations;
+      sopts.max_recoveries = max_recoveries;
       if (sink != nullptr) {
         sopts.telemetry_offset = [&]() {
           sink->flush();
