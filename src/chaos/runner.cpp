@@ -3,6 +3,8 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "baselines/protocol_registry.hpp"
@@ -193,6 +195,34 @@ ScenarioOutcome run_scenario(const ScenarioConfig& config,
   return outcome;
 }
 
+namespace {
+
+// Free-text values (violation messages, error text) are stored one per
+// line, so '\' and '\n' are escaped and no text can end its line early.
+std::string escape_line(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '\\' || c == '\n') out += '\\';
+    out += c == '\n' ? 'n' : c;
+  }
+  return out;
+}
+
+std::string unescape_line(std::string_view text) {
+  std::string out;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\\' && i + 1 < text.size()) {
+      ++i;
+      out += text[i] == 'n' ? '\n' : text[i];
+    } else {
+      out += text[i];
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 void write_outcome(std::ostream& os, const ScenarioOutcome& outcome) {
   os << "verdict " << to_string(outcome.verdict) << '\n';
   os << "steps " << outcome.steps_done << '\n';
@@ -202,27 +232,36 @@ void write_outcome(std::ostream& os, const ScenarioOutcome& outcome) {
   if (outcome.violation) {
     os << "oracle " << oracles_to_string(outcome.violation->oracle) << '\n';
     os << "violation_step " << outcome.violation->step << '\n';
-    os << "message " << outcome.violation->message << '\n';
+    os << "message " << escape_line(outcome.violation->message) << '\n';
   }
-  if (!outcome.error.empty()) os << "error " << outcome.error << '\n';
+  if (!outcome.error.empty()) {
+    os << "error " << escape_line(outcome.error) << '\n';
+  }
 }
 
 ScenarioOutcome read_outcome(std::istream& is) {
   ScenarioOutcome outcome;
   Violation violation;
   bool has_violation = false;
+  bool has_verdict = false;
   std::string line;
   while (std::getline(is, line)) {
     const auto space = line.find(' ');
-    if (space == std::string::npos) continue;
     const std::string key = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
+    const std::string value =
+        space == std::string::npos ? "" : line.substr(space + 1);
     const std::string what = "outcome: " + key;
     if (key == "verdict") {
       for (const Verdict v :
            {Verdict::kOk, Verdict::kViolation, Verdict::kDiverged,
             Verdict::kDeadline, Verdict::kError}) {
-        if (value == to_string(v)) outcome.verdict = v;
+        if (value == to_string(v)) {
+          outcome.verdict = v;
+          has_verdict = true;
+        }
+      }
+      if (!has_verdict) {
+        throw ContractViolation("outcome: unknown verdict '" + value + "'");
       }
     } else if (key == "steps") {
       outcome.steps_done = common::parse_number<TimeStep>(what, value);
@@ -239,12 +278,15 @@ ScenarioOutcome read_outcome(std::istream& is) {
       violation.step = common::parse_number<TimeStep>(what, value);
       has_violation = true;
     } else if (key == "message") {
-      violation.message = value;
+      violation.message = unescape_line(value);
       has_violation = true;
     } else if (key == "error") {
-      outcome.error = value;
+      outcome.error = unescape_line(value);
+    } else {
+      throw ContractViolation("outcome: unknown key '" + key + "'");
     }
   }
+  if (!has_verdict) throw ContractViolation("outcome: missing verdict line");
   if (has_violation) outcome.violation = violation;
   return outcome;
 }

@@ -457,8 +457,9 @@ ScenarioConfig ScenarioGenerator::next() {
       churn.add(nudge);
     }
     c.churn_events = std::move(churn);
-    // A slice of the churn family runs sharded: churn is exactly where the
-    // incremental ShardPlan repair must stay bitwise-faithful to serial.
+    // A slice of the churn family runs sharded: churn changes the role
+    // lists the shards slice every phase, which must stay bitwise-faithful
+    // to serial.
     if (rng_.bernoulli(0.3)) c.shards = 2;
   }
 

@@ -331,9 +331,6 @@ void Simulator::restore_checkpoint(std::istream& is) {
         net_.set_spec(static_cast<NodeId>(v), specs[v]);
       }
     }
-    // Specs may have changed the role sets; the shard engine's per-shard
-    // role lists must follow.
-    shards_->refresh_roles(net_);
     t_ = t;
     topology_version_ = topology_version;
     initial_total_ = initial_total;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <thread>
+
+#include "graph/partition.hpp"
 
 namespace lgg::core {
 
@@ -52,12 +55,15 @@ void PhaseClock::lap(StepPhase phase, std::uint64_t items) {
 ShardEngine::ShardEngine(const SdNetwork& net, std::uint32_t shard_count,
                          std::size_t threads) {
   if (shard_count == 1) return;
-  plan_ = build_shard_plan(net, shard_count);
+  const std::vector<NodeId> lo =
+      graph::band_offsets(net.node_count(), shard_count);
+  ids_.resize(static_cast<std::size_t>(net.node_count()));
+  std::iota(ids_.begin(), ids_.end(), NodeId{0});
   pool_ = std::make_unique<analysis::ThreadPool>(
       threads != 0 ? threads : default_threads(shard_count));
-  shards_.reserve(plan_.shard_count);
-  for (std::uint32_t s = 0; s < plan_.shard_count; ++s) {
-    shards_.push_back(Shard{plan_, s});
+  shards_.reserve(shard_count);
+  for (std::uint32_t s = 0; s < shard_count; ++s) {
+    shards_.push_back(Shard{net, lo[s], lo[s + 1]});
   }
 }
 
@@ -87,7 +93,7 @@ void ShardEngine::arm_drift(const Simulator& sim) {
   // Bound lazily: telemetry may attach (or arm) after enable_sharding.
   for (Shard& sh : shards_) {
     sh.drift_on = sim.drift_ != nullptr;
-    const auto nodes = static_cast<NodeId>(plan_.shards[sh.index].nodes.size());
+    const NodeId nodes = sh.hi - sh.lo;
     if (sh.drift_on && sh.drift.node_count() != nodes) sh.drift.bind(nodes);
   }
 }
@@ -98,48 +104,20 @@ void ShardEngine::select(Simulator& sim, const StepView& view,
     Shard& sh = shards_[s];
     sh.txs.clear();
     sh.active_nodes = sim.protocol_->select_for_nodes(
-        view, plan_.shards[s].nodes, sh.txs);
+        view,
+        std::span<const NodeId>(ids_).subspan(
+            static_cast<std::size_t>(sh.lo),
+            static_cast<std::size_t>(sh.hi - sh.lo)),
+        sh.txs);
   });
-  merge_transmissions(out);
+  // Bands ascend with the shard index, so the slices' concatenation is
+  // grouped by sender in ascending order.
   std::uint64_t active = 0;
-  for (const Shard& sh : shards_) active += sh.active_nodes;
+  for (const Shard& sh : shards_) {
+    out.insert(out.end(), sh.txs.begin(), sh.txs.end());
+    active += sh.active_nodes;
+  }
   sim.protocol_->note_selection_work(active);
-}
-
-void ShardEngine::merge_transmissions(std::vector<Transmission>& out) {
-  // Each shard's list is grouped by sender in ascending order (shard node
-  // lists are ascending, and select_for_nodes appends per node in the
-  // order given), and the shards' sender sets are disjoint — so a k-way
-  // merge by the smallest front sender reconstructs the inline
-  // ascending-sender proposal order exactly.
-  std::size_t total = 0;
-  for (Shard& sh : shards_) {
-    total += sh.txs.size();
-    sh.merge_cursor = 0;
-  }
-  out.reserve(total);
-  for (;;) {
-    std::size_t best = shards_.size();
-    NodeId best_from = kInvalidNode;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const std::size_t c = shards_[s].merge_cursor;
-      if (c >= shards_[s].txs.size()) continue;
-      const NodeId from = shards_[s].txs[c].from;
-      if (best == shards_.size() || from < best_from) {
-        best = s;
-        best_from = from;
-      }
-    }
-    if (best == shards_.size()) break;
-    // Copy the whole run of this sender's transmissions at once.
-    auto& sh = shards_[best];
-    std::size_t c = sh.merge_cursor;
-    while (c < sh.txs.size() && sh.txs[c].from == best_from) {
-      out.push_back(sh.txs[c]);
-      ++c;
-    }
-    sh.merge_cursor = c;
-  }
 }
 
 void ShardEngine::fold(Simulator& sim, StepStats& stats) {
@@ -157,7 +135,6 @@ void ShardEngine::fold(Simulator& sim, StepStats& stats) {
     stats.delivered += sh.stats.delivered;
     stats.extracted += sh.stats.extracted;
     if (sh.drift_on) {
-      const auto& nodes = plan_.shards[sh.index].nodes;
       for (const NodeId local : sh.drift.touched()) {
         // Record every cause, zeros included: a zero-ΔP mutation (e.g. an
         // injection of 0 packets) still marks its node touched inline, and
@@ -165,7 +142,7 @@ void ShardEngine::fold(Simulator& sim, StepStats& stats) {
         for (std::size_t c = 0; c < obs::kDriftCauseCount; ++c) {
           const auto cause = static_cast<obs::DriftCause>(c);
           sim.drift_->record(
-              nodes[static_cast<std::size_t>(local)], cause,
+              sh.lo + local, cause,
               static_cast<std::uint64_t>(sh.drift.node_drift(local, cause)));
         }
       }

@@ -10,10 +10,10 @@
 //     calling thread.  Mutations go straight through
 //     Simulator::apply_queue_delta into Σq, Σq² and the drift attributor.
 //     Nothing is built: no partition, no pool, no per-node arrays.
-//   * K > 1 (enable_sharding): one Shard part per region of a ShardPlan
-//     (core/shard.hpp), fanned out over a thread pool.  Mutations go to
-//     the shard's exact-integer scratch, folded into the simulator in
-//     shard order when the phase joins.
+//   * K > 1 (enable_sharding): one Shard part per contiguous node-id
+//     band (graph::band_offsets), fanned out over a thread pool.
+//     Mutations go to the shard's exact-integer scratch, folded into the
+//     simulator in shard order when the phase joins.
 //
 // Loss-apply and extraction always run through the engine.  Injection
 // fans out only while call order is unobservable (no admission
@@ -38,16 +38,25 @@
 //     transmission order — exactly its inline mutation order, which pins
 //     the value-dependent drift contributions δ(2q+δ).
 //
-// The boundary exchange is implicit in the apply phase: the merged
-// transmission list, keep flags, and loss verdicts are shared read-only
-// state, and every shard scans the full list applying just the mutations
-// of nodes it owns.  A cross-boundary delivery is therefore "exchanged"
-// by the receiver's shard reading the sender's transmission — no queues,
-// no message passing, no ordering ambiguity.  (A local-then-inbox scheme
-// would reorder a node's receives after its sends and silently change the
-// drift attribution.)
+// Bands make the bookkeeping around the shards arithmetic: a shard owns v
+// iff lo <= v < hi, its drift table is keyed by v - lo, its sources and
+// sinks are sub-spans of the network's ascending role lists (current after
+// any churn or restore, with nothing to repair), and its selection output
+// is an ascending-sender slice, so joining the slices in shard order is
+// the inline proposal list.
+//
+// The boundary exchange is implicit in the apply phase: the transmission
+// list, keep flags, and loss verdicts are shared read-only state, and
+// every shard scans the full list applying just the mutations of nodes it
+// owns.  A cross-boundary delivery is therefore "exchanged" by the
+// receiver's shard reading the sender's transmission — no queues, no
+// message passing, no ordering ambiguity.  The full scan keeps the third
+// invariant even when a baseline protocol selects serially, in its own
+// sender order.  (A local-then-inbox scheme would reorder a node's
+// receives after its sends and silently change the drift attribution.)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,7 +65,6 @@
 #include <vector>
 
 #include "analysis/thread_pool.hpp"
-#include "core/shard.hpp"
 #include "core/simulator.hpp"
 
 namespace lgg::core {
@@ -102,27 +110,19 @@ class PhaseClock {
 
 class ShardEngine {
  public:
-  /// K = `shard_count` regions of `net`'s base graph on a pool of
-  /// `threads` workers (0 picks min(K, hardware concurrency)).  K = 1
-  /// builds nothing: every phase runs inline.
+  /// K = `shard_count` node-id bands of `net` on a pool of `threads`
+  /// workers (0 picks min(K, hardware concurrency)).  K = 1 builds
+  /// nothing: every phase runs inline.  Shards read `net`'s role lists
+  /// at every phase, so `net` must outlive the engine.
   ShardEngine(const SdNetwork& net, std::uint32_t shard_count,
               std::size_t threads);
-  // Shards hold references into plan_.
   ShardEngine(const ShardEngine&) = delete;
   ShardEngine& operator=(const ShardEngine&) = delete;
 
   [[nodiscard]] std::uint32_t shard_count() const {
-    return fans_out() ? plan_.shard_count : 1;
+    return fans_out() ? static_cast<std::uint32_t>(shards_.size()) : 1;
   }
   [[nodiscard]] bool fans_out() const { return pool_ != nullptr; }
-
-  /// Re-derives the per-shard role lists after churn or a checkpoint
-  /// restore mutated node specs (node_leave/join, nudges through zero).
-  /// Ownership never changes — churn never changes the node set — so the
-  /// repaired plan visits exactly the nodes an inline run does.
-  void refresh_roles(const SdNetwork& net) {
-    if (fans_out()) repair_shard_plan_roles(plan_, net);
-  }
 
   /// The K = 1 part: the whole network, mutating the simulator's ledger.
   /// Parts take the simulator as an argument of apply() rather than
@@ -162,45 +162,48 @@ class ShardEngine {
   }
 
   /// Selection for K > 1 and a local_selection() protocol: every shard
-  /// selects for its own nodes against the shared read-only view, and the
-  /// per-shard lists merge into `out` in ascending sender order — the
-  /// inline select_transmissions order.
+  /// selects for its own band against the shared read-only view, and the
+  /// per-shard lists are appended to `out` in shard order — ascending
+  /// sender order, the inline select_transmissions order.
   void select(Simulator& sim, const StepView& view, PhaseClock& clock,
               std::vector<Transmission>& out);
 
  private:
-  /// The K > 1 part: one shard's nodes plus its working state, reset at
-  /// every fold.  Its ledger is an exact (wraparound-safe) mirror of the
-  /// simulator's, folded in shard order.
+  /// The K > 1 part: the node-id band [lo, hi) plus its working state,
+  /// reset at every fold.  Its ledger is an exact (wraparound-safe)
+  /// mirror of the simulator's, folded in shard order.
   struct Shard {
-    const ShardPlan& plan;
-    std::uint32_t index;
+    const SdNetwork& net;
+    NodeId lo;
+    NodeId hi;
     bool drift_on = false;  ///< telemetry is armed this step
     StepStats stats{};  ///< only the node-local phases' counters are used
     PacketCount sum_q_delta = 0;
     detail::QuadAccum sum_sq_delta = 0;
-    /// Drift contributions keyed by local index (ShardPlan::local_index).
+    /// Drift contributions keyed by v - lo.
     obs::DriftAttributor drift{};
     std::vector<Transmission> txs{};  ///< selection output, grouped by node
     std::uint64_t active_nodes = 0;
-    std::size_t merge_cursor = 0;
     std::uint64_t busy_nanos = 0;  ///< this shard's work time (profiling)
 
+    /// The band's slice of an ascending node list.
+    [[nodiscard]] std::span<const NodeId> band(
+        std::span<const NodeId> ids) const {
+      const auto first = std::lower_bound(ids.begin(), ids.end(), lo);
+      return {first, std::lower_bound(first, ids.end(), hi)};
+    }
     [[nodiscard]] std::span<const NodeId> sources() const {
-      return plan.shards[index].sources;
+      return band(net.sources());
     }
     [[nodiscard]] std::span<const NodeId> sinks() const {
-      return plan.shards[index].sinks;
+      return band(net.sinks());
     }
-    [[nodiscard]] bool owns(NodeId v) const {
-      return plan.owner[static_cast<std::size_t>(v)] == index;
-    }
+    [[nodiscard]] bool owns(NodeId v) const { return v >= lo && v < hi; }
     void apply(Simulator& sim, NodeId v, PacketCount delta,
                obs::DriftCause cause) {
-      const auto i = static_cast<std::size_t>(v);
-      detail::mutate_queue(sim.queue_[i], delta, sum_q_delta, sum_sq_delta,
-                           drift_on ? &drift : nullptr,
-                           static_cast<NodeId>(plan.local_index[i]), cause);
+      detail::mutate_queue(sim.queue_[static_cast<std::size_t>(v)], delta,
+                           sum_q_delta, sum_sq_delta,
+                           drift_on ? &drift : nullptr, v - lo, cause);
     }
   };
 
@@ -211,10 +214,9 @@ class ShardEngine {
   /// Points every shard's drift at the simulator's armed state, binding
   /// the per-shard tables on first use.
   void arm_drift(const Simulator& sim);
-  void merge_transmissions(std::vector<Transmission>& out);
   void fold(Simulator& sim, StepStats& stats);
 
-  ShardPlan plan_;
+  std::vector<NodeId> ids_;  ///< 0..n-1; shard s selects for a sub-span
   std::vector<Shard> shards_;
   std::unique_ptr<analysis::ThreadPool> pool_;  // last: joined first
 };

@@ -65,9 +65,9 @@ class SdNetwork {
   // relevant nodes instead of scanning all n.  Edge-mask dynamics never
   // change roles, but scheduled churn (core/faults.hpp node_join/
   // node_leave/nudge) mutates specs mid-run through set_spec — callers
-  // holding references to these lists must re-read them after any step
-  // whose TopologyDelta is non-empty (the simulator does exactly that
-  // via ShardEngine::refresh_roles).
+  // must not hold copies of these lists across a step whose
+  // TopologyDelta is non-empty (the shard engine re-slices them every
+  // phase).
 
   /// Nodes with in > 0 (injection side of S ∪ D), ascending.
   [[nodiscard]] const std::vector<NodeId>& sources() const {

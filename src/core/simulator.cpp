@@ -227,10 +227,6 @@ const graph::EdgeMask* Simulator::phase_dynamics(StepStats& stats,
     if (churned) {
       ++topology_version_;
       stats.topology_changed = true;
-      // Role lists may have changed (node_leave/join, nudges through
-      // zero); the shard engine re-derives its per-shard role lists so
-      // every shard count keeps visiting exactly the same nodes.
-      shards_->refresh_roles(net_);
       if (tel != nullptr) record_churn_flight_events(tel);
     }
     const FaultInjector::StepEffects effects = faults_->begin_step(

@@ -17,7 +17,7 @@
 // (seed, step, phase, node) — common/rng.hpp draw_key — so a run is a pure
 // function of (network, components, seed).  Because no draw's value
 // depends on how the node loops are grouped, the node-local phases can run
-// as one inline part (the default, K = 1) or as K graph-partitioned shards
+// as one inline part (the default, K = 1) or as K node-id-band shards
 // on a thread pool (enable_sharding) with a bitwise-identical trajectory;
 // core/parallel_step.hpp has the dispatch and its invariants.
 #pragma once
@@ -159,13 +159,13 @@ class Simulator {
 
   /// Sets how many parts the node-local phases run as.  `shards` == 1
   /// (the default) runs them inline on the calling thread and builds
-  /// nothing; `shards` > 1 splits the nodes into that many balanced
-  /// regions (graph/partition.hpp) and fans the phases out over an
+  /// nothing; `shards` > 1 splits the node ids into that many balanced
+  /// contiguous bands (graph/partition.hpp) and fans the phases out over an
   /// internal pool of `threads` workers (0 picks min(shards, hardware)).
   /// The trajectory — queues, stats, drift attribution, telemetry bytes,
   /// checkpoint bytes — is bitwise identical for every (shards, threads)
-  /// choice.  May be called between steps; the partition derives from the
-  /// base graph only, so topology dynamics and checkpoint restores compose
+  /// choice.  May be called between steps; the bands derive from the node
+  /// count only, so topology dynamics and checkpoint restores compose
   /// freely.
   void enable_sharding(std::uint32_t shards, std::size_t threads = 0);
   /// Parts the node-local phases run as (1 unless enable_sharding(K > 1)).
@@ -349,7 +349,7 @@ class Simulator {
   graph::EdgeMask mask_;
   graph::EdgeMask effective_mask_;  // mask_ with fault down-nodes overlaid
 
-  // Runs the node-local phases; at K > 1 owns the partition, thread pool,
+  // Runs the node-local phases; at K > 1 owns the bands, thread pool,
   // and per-shard scratch.  Holds no cross-step trajectory state, so
   // re-sharding between steps (or across a checkpoint restore) never
   // perturbs the run.

@@ -1,5 +1,5 @@
 // The per-step churn summary handed from the fault injector to everyone
-// downstream (admission control, telemetry, shard-plan repair).
+// downstream (admission control, telemetry).
 //
 // Churn events (core/faults.hpp: edge_add/edge_remove/node_join/node_leave/
 // nudge) mutate the live topology and rate declarations at the top of a

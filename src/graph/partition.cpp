@@ -1,58 +1,30 @@
 #include "graph/partition.hpp"
 
-#include <deque>
+#include <algorithm>
 
 #include "common/require.hpp"
 
 namespace lgg::graph {
 
+std::vector<NodeId> band_offsets(NodeId node_count, std::uint32_t parts) {
+  LGG_REQUIRE(parts >= 1, "band_offsets: parts >= 1");
+  const auto n = static_cast<std::size_t>(node_count);
+  const std::size_t base = n / parts;
+  const std::size_t extra = n % parts;
+  std::vector<NodeId> lo(static_cast<std::size_t>(parts) + 1);
+  for (std::size_t s = 0; s <= parts; ++s) {
+    lo[s] = static_cast<NodeId>(s * base + std::min(s, extra));
+  }
+  return lo;
+}
+
 std::vector<std::uint32_t> partition_edge_cut(const Multigraph& g,
                                               std::uint32_t parts) {
-  LGG_REQUIRE(parts >= 1, "partition_edge_cut: parts >= 1");
-  const auto n = static_cast<std::size_t>(g.node_count());
-  constexpr std::uint32_t kUnassigned = ~std::uint32_t{0};
-  std::vector<std::uint32_t> owner(n, kUnassigned);
-  if (n == 0) return owner;
-
-  std::size_t remaining = n;
-  NodeId next_seed = 0;  // lowest node id that might be unassigned
-  std::deque<NodeId> frontier;
-  for (std::uint32_t p = 0; p < parts && remaining > 0; ++p) {
-    // Balanced target: distributing the remainder one node at a time keeps
-    // every pair of shard sizes within one of each other.
-    const std::uint32_t shards_left = parts - p;
-    const std::size_t target = (remaining + shards_left - 1) / shards_left;
-    std::size_t grown = 0;
-    frontier.clear();
-    while (grown < target) {
-      if (frontier.empty()) {
-        // Seed (or re-seed after exhausting a component) at the lowest
-        // unassigned node — deterministic, and keeps low ids in low shards
-        // so shard node lists stay roughly id-contiguous.
-        while (owner[static_cast<std::size_t>(next_seed)] != kUnassigned) {
-          ++next_seed;
-        }
-        frontier.push_back(next_seed);
-        owner[static_cast<std::size_t>(next_seed)] = p;
-        ++grown;
-        --remaining;
-        if (grown >= target) break;
-      }
-      const NodeId u = frontier.front();
-      frontier.pop_front();
-      for (const IncidentLink& link : g.incident(u)) {
-        auto& slot = owner[static_cast<std::size_t>(link.neighbor)];
-        if (slot != kUnassigned) continue;
-        slot = p;
-        ++grown;
-        --remaining;
-        frontier.push_back(link.neighbor);
-        if (grown >= target) break;
-      }
-    }
+  const std::vector<NodeId> lo = band_offsets(g.node_count(), parts);
+  std::vector<std::uint32_t> owner(static_cast<std::size_t>(g.node_count()));
+  for (std::uint32_t s = 0; s < parts; ++s) {
+    std::fill(owner.begin() + lo[s], owner.begin() + lo[s + 1], s);
   }
-  // parts > 0 and targets cover the remainder exactly, so nothing is left.
-  LGG_ASSERT(remaining == 0);
   return owner;
 }
 

@@ -6,6 +6,7 @@
 
 #include "chaos/runner.hpp"
 #include "chaos/scenario.hpp"
+#include "common/require.hpp"
 #include "core/scenarios.hpp"
 
 namespace lgg::chaos {
@@ -126,7 +127,12 @@ TEST(Runner, DivergenceIsAFindingOnlyWhenStabilityWasPromised) {
 }
 
 TEST(Runner, OutcomeRoundTripsThroughText) {
-  const ScenarioOutcome outcome = run_scenario(byzantine_config(true));
+  ScenarioOutcome outcome = run_scenario(byzantine_config(true));
+  ASSERT_TRUE(outcome.violation.has_value());
+  // Free text keeps its line breaks and backslashes without spilling onto
+  // a line of its own.
+  outcome.violation->message += "\nverdict ok\\n\\";
+  outcome.error = "first\nsecond";
   std::stringstream ss;
   write_outcome(ss, outcome);
   const ScenarioOutcome back = read_outcome(ss);
@@ -134,7 +140,20 @@ TEST(Runner, OutcomeRoundTripsThroughText) {
   ASSERT_TRUE(back.violation.has_value());
   EXPECT_EQ(back.violation->oracle, outcome.violation->oracle);
   EXPECT_EQ(back.violation->step, outcome.violation->step);
+  EXPECT_EQ(back.violation->message, outcome.violation->message);
+  EXPECT_EQ(back.error, outcome.error);
   EXPECT_EQ(back.steps_done, outcome.steps_done);
+}
+
+TEST(Runner, OutcomeRejectsMistypedText) {
+  // A mistyped expected outcome must not read as the default "ok".
+  for (const char* text :
+       {"verdict vilation\nsteps 3\n", "steps 3\npackets 0\n", "",
+        "verdict ok\nstep 3\n"}) {
+    SCOPED_TRACE(text);
+    std::istringstream is(text);
+    EXPECT_THROW((void)read_outcome(is), ContractViolation);
+  }
 }
 
 }  // namespace

@@ -200,6 +200,12 @@ TEST(Simulator, RunWithNegativeStepsRejected) {
   EXPECT_THROW(sim.run(-1), ContractViolation);
 }
 
+TEST(Simulator, ZeroShardsRejected) {
+  Simulator sim(scenarios::single_path(4), checked());
+  EXPECT_THROW(sim.enable_sharding(0), ContractViolation);
+  EXPECT_EQ(sim.shard_count(), 1u);
+}
+
 TEST(Simulator, EmptyRolesRejectedAtConstruction) {
   SdNetwork net(graph::make_path(2));
   EXPECT_THROW(Simulator(net, checked()), ContractViolation);

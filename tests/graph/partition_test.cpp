@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/require.hpp"
 #include "graph/generators.hpp"
 #include "graph/multigraph.hpp"
 
@@ -38,7 +39,7 @@ TEST(Partition, DeterministicAcrossCalls) {
 }
 
 TEST(Partition, PathGraphCutsExactlyPartsMinusOne) {
-  // On a path, contiguous BFS regions give the optimal cut: one boundary
+  // On a path, contiguous id bands give the optimal cut: one boundary
   // edge between consecutive shards.
   const Multigraph g = make_path(24);
   for (const std::uint32_t parts : {2u, 3u, 4u, 6u}) {
@@ -65,7 +66,8 @@ TEST(Partition, MorePartsThanNodes) {
 }
 
 TEST(Partition, DisconnectedComponentsAllAssigned) {
-  // Two disjoint triangles: region growing must re-seed across the gap.
+  // Two disjoint triangles: bands ignore connectivity, so a band may
+  // straddle the gap and still every node is assigned.
   Multigraph g(6);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
@@ -88,8 +90,8 @@ TEST(Partition, EmptyGraph) {
 }
 
 TEST(Partition, GridCutIsSurfaceNotVolume) {
-  // Sanity on quality: a BFS-region split of a 16x16 grid into 4 shards
-  // should cut far fewer edges than a round-robin assignment would.
+  // Sanity on quality: id bands split a row-major 16x16 grid into strips
+  // of rows, which cut far fewer edges than a round-robin assignment.
   const Multigraph g = make_grid(16, 16);
   const auto owner = partition_edge_cut(g, 4);
   std::vector<std::uint32_t> round_robin(
@@ -98,6 +100,35 @@ TEST(Partition, GridCutIsSurfaceNotVolume) {
     round_robin[v] = static_cast<std::uint32_t>(v % 4);
   }
   EXPECT_LT(cut_edges(g, owner), cut_edges(g, round_robin) / 2);
+}
+
+TEST(Partition, BandsAreContiguousAndAscending) {
+  // Shard s owns one contiguous id range and ranges ascend with s: owner
+  // never decreases along the node ids, whatever the topology, and the
+  // larger bands come first.
+  for (const Multigraph& g :
+       {make_grid(9, 7), make_random_multigraph(200, 600, 77)}) {
+    for (const std::uint32_t parts : {2u, 3u, 4u, 8u, 13u}) {
+      const auto owner = partition_edge_cut(g, parts);
+      EXPECT_TRUE(std::is_sorted(owner.begin(), owner.end()))
+          << "parts=" << parts;
+      const auto sizes = shard_sizes(owner, parts);
+      EXPECT_TRUE(std::is_sorted(sizes.rbegin(), sizes.rend()))
+          << "parts=" << parts;
+    }
+  }
+}
+
+TEST(Partition, RejectsZeroParts) {
+  const Multigraph g = make_path(4);
+  EXPECT_THROW(partition_edge_cut(g, 0), ContractViolation);
+  EXPECT_THROW(band_offsets(4, 0), ContractViolation);
+}
+
+TEST(Partition, BandOffsetsSplitLargerBandsFirst) {
+  EXPECT_EQ(band_offsets(10, 4), (std::vector<NodeId>{0, 3, 6, 8, 10}));
+  EXPECT_EQ(band_offsets(2, 4), (std::vector<NodeId>{0, 1, 2, 2, 2}));
+  EXPECT_EQ(band_offsets(0, 2), (std::vector<NodeId>{0, 0, 0}));
 }
 
 }  // namespace

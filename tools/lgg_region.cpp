@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "baselines/protocol_registry.hpp"
+#include "common/spec_parse.hpp"
 #include "core/region.hpp"
 #include "core/scenarios.hpp"
 #include "core/simulator.hpp"
@@ -21,6 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace lgg;
+  using common::parse_number;
   std::string protocol = "lgg";
   TimeStep steps = 3000;
   core::RegionOptions region;
@@ -28,41 +30,43 @@ int main(int argc, char** argv) {
   bool matching = false;
   std::string input_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--protocol") {
-      protocol = next("--protocol");
-    } else if (arg == "--steps") {
-      steps = std::atoll(next("--steps"));
-    } else if (arg == "--replicates") {
-      region.replicates = std::atoi(next("--replicates"));
-    } else if (arg == "--tolerance") {
-      region.tolerance = std::atof(next("--tolerance"));
-    } else if (arg == "--matching") {
-      matching = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::fprintf(stderr,
-                   "usage: %s [--protocol NAME] [--steps N] "
-                   "[--replicates K] [--tolerance X] [--matching] "
-                   "[network.sdnet]\n",
-                   argv[0]);
-      return 2;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return 2;
-    } else {
-      input_path = arg;
-    }
-  }
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&](const char* what) -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "missing value for %s\n", what);
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--protocol") {
+        protocol = next("--protocol");
+      } else if (arg == "--steps") {
+        steps = parse_number<TimeStep>("--steps", next("--steps"));
+      } else if (arg == "--replicates") {
+        region.replicates = parse_number<int>("--replicates",
+                                              next("--replicates"));
+      } else if (arg == "--tolerance") {
+        region.tolerance = parse_number<double>("--tolerance",
+                                                next("--tolerance"));
+      } else if (arg == "--matching") {
+        matching = true;
+      } else if (arg == "--help" || arg == "-h") {
+        std::fprintf(stderr,
+                     "usage: %s [--protocol NAME] [--steps N] "
+                     "[--replicates K] [--tolerance X] [--matching] "
+                     "[network.sdnet]\n",
+                     argv[0]);
+        return 2;
+      } else if (!arg.empty() && arg[0] == '-') {
+        std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+        return 2;
+      } else {
+        input_path = arg;
+      }
+    }
+
     const core::SdNetwork net = [&] {
       if (input_path.empty()) {
         std::ostringstream buffer;
