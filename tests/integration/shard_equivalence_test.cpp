@@ -295,8 +295,10 @@ std::uint64_t digest(const RunResult& r) {
 /// Pinned digests, one per case.  They were recorded from the serial
 /// engine before the serial and sharded step bodies were merged, so they
 /// hold the merged pipeline to the old reference bytes rather than to
-/// itself.  A digest only changes with an explicit, documented
-/// re-baseline of the trajectory.
+/// itself.  The lgg-random-tiebreak, stale-lgg and hub-lgg digests were
+/// recorded from the selection code that fully sorted every active link
+/// before filtering, ahead of the filter-first selection kernel.  A digest
+/// only changes with an explicit, documented re-baseline of the trajectory.
 const std::map<std::string, std::uint64_t>& pinned() {
   static const std::map<std::string, std::uint64_t> kPinned = {
       {"plain-lgg", 0x72dadeb5cc65dd5aULL},
@@ -315,6 +317,10 @@ const std::map<std::string, std::uint64_t>& pinned() {
       {"mid-churn-resume", 0x7c3131ae21198062ULL},
       {"baseline-backpressure", 0xc898cbf4f9ddcf02ULL},
       {"baseline-random_walk", 0x49a43e4320ebb191ULL},
+      {"lgg-random-tiebreak", 0xa3dea673383a338aULL},
+      {"stale-lgg", 0x53a6c62981e22fabULL},
+      {"stale-lgg-shuffle", 0xa076255d0423d5b3ULL},
+      {"hub-lgg", 0x5460c8d72574e4c5ULL},
   };
   return kPinned;
 }
@@ -390,6 +396,31 @@ TEST(ShardEquivalence, SnapshotExtractionBasisMatches) {
   }
 }
 
+/// Runs `network` under `make_protocol()` on every leg: each leg must be
+/// bitwise equal to the serial run and reproduce the pinned digest `name`.
+template <typename MakeProtocol>
+void expect_protocol_pinned_on_every_leg(const std::string& name,
+                                         core::SdNetwork (*network)(),
+                                         void (*configure)(core::Simulator&),
+                                         MakeProtocol make_protocol) {
+  const auto run_leg = [&](std::uint32_t shards, std::size_t threads) {
+    core::SimulatorOptions options;
+    options.seed = 0xBA5E;
+    core::Simulator sim(network(), options, make_protocol());
+    configure(sim);
+    if (shards > 1 || threads > 1) sim.enable_sharding(shards, threads);
+    return capture_run(sim, kHorizon);
+  };
+  const RunResult serial = run_leg(1, 1);
+  for (const auto& [shards, threads] : kLegs) {
+    SCOPED_TRACE("shards=" + std::to_string(shards) +
+                 " threads=" + std::to_string(threads));
+    const RunResult leg = run_leg(shards, threads);
+    expect_bitwise_equal(serial, leg);
+    expect_pinned(name, leg);
+  }
+}
+
 TEST(ShardEquivalence, BaselineProtocolsMatchUnderSharding) {
   // Baselines select serially (local_selection() is false) in their own
   // sender order, so at K > 1 the shards apply a kept list that is not in
@@ -397,24 +428,84 @@ TEST(ShardEquivalence, BaselineProtocolsMatchUnderSharding) {
   // list order.
   for (const char* name : {"backpressure", "random_walk"}) {
     SCOPED_TRACE(name);
-    const auto run_leg = [name](std::uint32_t shards, std::size_t threads) {
-      core::SimulatorOptions options;
-      options.seed = 0xBA5E;
-      core::Simulator sim(stochastic_net(), options,
-                          baselines::make_protocol(name));
-      configure_stochastic(sim);
-      if (shards > 1 || threads > 1) sim.enable_sharding(shards, threads);
-      return capture_run(sim, kHorizon);
-    };
-    const RunResult serial = run_leg(1, 1);
-    for (const auto& [shards, threads] : kLegs) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " threads=" + std::to_string(threads));
-      const RunResult leg = run_leg(shards, threads);
-      expect_bitwise_equal(serial, leg);
-      expect_pinned(std::string("baseline-") + name, leg);
-    }
+    expect_protocol_pinned_on_every_leg(
+        std::string("baseline-") + name, stochastic_net, configure_stochastic,
+        [name] { return baselines::make_protocol(name); });
   }
+}
+
+TEST(ShardEquivalence, RandomTieBreakLggMatchesUnderSharding) {
+  // The shuffle draws from each node's addressed stream, so the shards'
+  // select_for_nodes must reproduce the serial tie-breaks exactly.
+  expect_protocol_pinned_on_every_leg(
+      "lgg-random-tiebreak", stochastic_net, configure_stochastic,
+      [] { return baselines::make_protocol("lgg_random_tiebreak"); });
+}
+
+TEST(ShardEquivalence, StaleLggMatchesUnderSharding) {
+  // StaleLgg selects serially against a three-step-old declaration
+  // snapshot; its shuffle tie-break draws the phase-global stream.
+  expect_protocol_pinned_on_every_leg(
+      "stale-lgg", stochastic_net, configure_stochastic,
+      [] { return std::make_unique<baselines::StaleLggProtocol>(3); });
+  expect_protocol_pinned_on_every_leg(
+      "stale-lgg-shuffle", stochastic_net, configure_stochastic, [] {
+        return std::make_unique<baselines::StaleLggProtocol>(
+            3, core::TieBreak::kRandomShuffle);
+      });
+}
+
+/// A hub of degree 44 (20 leaves, every fourth one joined by three
+/// parallel edges, the others by two) with a ring through the leaves.
+/// The hub is a source and every fifth leaf a sink.
+core::SdNetwork hub_net() {
+  constexpr NodeId kLeaves = 20;
+  graph::Multigraph g(kLeaves + 1);
+  for (NodeId leaf = 1; leaf <= kLeaves; ++leaf) {
+    const int multiplicity = leaf % 4 == 0 ? 3 : 2;
+    for (int i = 0; i < multiplicity; ++i) g.add_edge(0, leaf);
+    g.add_edge(leaf, leaf % kLeaves + 1);
+  }
+  core::SdNetwork net(std::move(g));
+  net.set_source(0, 12);
+  for (NodeId leaf = 5; leaf <= kLeaves; leaf += 5) net.set_sink(leaf, 4);
+  return net;
+}
+
+/// Hub backlog 24 against leaf backlogs 7·leaf mod 36: the hub's first
+/// selection has 27 eligible links of 44, so budget < eligible < degree
+/// and LGG must order more than 16 candidates to pick the cheapest 24.
+void configure_hub(core::Simulator& sim) {
+  sim.set_loss(std::make_unique<core::BernoulliLoss>(0.05));
+  sim.set_dynamics(std::make_unique<core::RandomChurn>(0.02, 0.4));
+  sim.set_initial_queue(0, 24);
+  for (NodeId leaf = 1; leaf < sim.network().node_count(); ++leaf) {
+    sim.set_initial_queue(leaf, (7 * leaf) % 36);
+  }
+}
+
+TEST(ShardEquivalence, HubLggMatchesUnderSharding) {
+  {
+    core::Simulator sim(hub_net());
+    configure_hub(sim);
+    const PacketCount budget = sim.queues()[0];
+    int eligible = 0;
+    int degree = 0;
+    for (const graph::IncidentLink& link :
+         sim.network().topology().incident(0)) {
+      ++degree;
+      if (sim.queues()[static_cast<std::size_t>(link.neighbor)] < budget) {
+        ++eligible;
+      }
+    }
+    ASSERT_GE(degree, 40);
+    ASSERT_GT(eligible, 16);
+    ASSERT_LT(budget, eligible);
+    ASSERT_LT(eligible, degree);
+  }
+  expect_protocol_pinned_on_every_leg(
+      "hub-lgg", hub_net, configure_hub,
+      [] { return std::make_unique<core::LggProtocol>(); });
 }
 
 TEST(ShardEquivalence, MoreShardsThanNodesStillExact) {
