@@ -1,7 +1,5 @@
 #include "baselines/stale_lgg.hpp"
 
-#include <algorithm>
-
 #include "common/binio.hpp"
 #include "common/require.hpp"
 
@@ -22,46 +20,10 @@ void StaleLggProtocol::select_transmissions(
   }
   const std::vector<PacketCount>& stale = history_.front();
 
+  // The shuffle tie-break draws the phase-global stream, node by node.
   const NodeId n = view.net->node_count();
   for (NodeId u = 0; u < n; ++u) {
-    PacketCount budget = view.queue[static_cast<std::size_t>(u)];
-    if (budget <= 0) continue;
-    const PacketCount qu = view.queue[static_cast<std::size_t>(u)];
-
-    scratch_.clear();
-    for (const graph::IncidentLink& link : view.incidence->incident(u)) {
-      if (view.active != nullptr && !view.active->active(link.edge)) continue;
-      scratch_.push_back(link);
-    }
-    if (scratch_.empty()) continue;
-    auto stale_of = [&stale](NodeId v) {
-      return stale[static_cast<std::size_t>(v)];
-    };
-    if (tie_break_ == core::TieBreak::kRandomShuffle) {
-      std::shuffle(scratch_.begin(), scratch_.end(), rng.engine());
-      std::stable_sort(scratch_.begin(), scratch_.end(),
-                       [&](const graph::IncidentLink& a,
-                           const graph::IncidentLink& b) {
-                         return stale_of(a.neighbor) < stale_of(b.neighbor);
-                       });
-    } else {
-      std::sort(scratch_.begin(), scratch_.end(),
-                [&](const graph::IncidentLink& a,
-                    const graph::IncidentLink& b) {
-                  if (stale_of(a.neighbor) != stale_of(b.neighbor)) {
-                    return stale_of(a.neighbor) < stale_of(b.neighbor);
-                  }
-                  if (a.neighbor != b.neighbor) return a.neighbor < b.neighbor;
-                  return a.edge < b.edge;
-                });
-    }
-    for (const graph::IncidentLink& link : scratch_) {
-      if (budget <= 0) break;
-      if (qu > stale_of(link.neighbor)) {
-        out.push_back(core::Transmission{link.edge, u, link.neighbor});
-        --budget;
-      }
-    }
+    core::select_lgg_links(view, u, stale, tie_break_, &rng, scratch_, out);
   }
 }
 

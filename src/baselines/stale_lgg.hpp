@@ -33,7 +33,7 @@ class StaleLggProtocol final : public core::RoutingProtocol {
   int delay_;
   core::TieBreak tie_break_;
   std::deque<std::vector<PacketCount>> history_;  // declared snapshots
-  std::vector<graph::IncidentLink> scratch_;
+  std::vector<core::LggCandidate> scratch_;
 };
 
 }  // namespace lgg::baselines

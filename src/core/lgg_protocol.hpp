@@ -8,6 +8,12 @@
 // among equal neighbours does not affect stability; both deterministic and
 // randomized tie-breaks are provided so experiments can confirm it.
 //
+// Only down-gradient links (declared < q_t(u)) can ever be sent on, and in
+// the ordered list they form a prefix, so select_lgg_links orders just
+// those, keyed by declarations loaded once per link, and only as far as
+// the budget reaches.  The result equals ordering every active link and
+// then scanning, element for element.
+//
 // Selection is local by construction (each node needs only its own queue
 // and its neighbours' declarations), and the randomized tie-break draws
 // from the node's addressed stream (StepView::draw_seed), so the shard
@@ -27,6 +33,27 @@ enum class TieBreak {
   kById,           ///< (declared queue, neighbour id, edge id) ascending
   kRandomShuffle,  ///< random order, then stable sort by declared queue
 };
+
+/// A link u can send on, with the far end's declaration (its sort key)
+/// loaded once.
+struct LggCandidate {
+  PacketCount declared;
+  NodeId neighbor;
+  EdgeId edge;
+};
+
+/// Appends node u's Algorithm 1 transmissions to `out`, in list(u) order.
+/// `declared` holds the neighbour keys (the view's declarations, or an
+/// older snapshot of them); u compares them with its true queue.  Under
+/// kRandomShuffle, u's whole active link list is shuffled with `*rng`
+/// before the filter, so the draws depend only on that list's length;
+/// under kById `rng` is unused and may be null.  `scratch` is grown to
+/// u's degree and otherwise left to the caller to reuse.
+void select_lgg_links(const StepView& view, NodeId u,
+                      std::span<const PacketCount> declared,
+                      TieBreak tie_break, Rng* rng,
+                      std::vector<LggCandidate>& scratch,
+                      std::vector<Transmission>& out);
 
 class LggProtocol final : public RoutingProtocol {
  public:
@@ -52,13 +79,14 @@ class LggProtocol final : public RoutingProtocol {
   /// One node's selection into `out` using caller-provided scratch.
   /// Returns 1 when the node was active (held packets), 0 otherwise.
   std::uint64_t select_node(const StepView& view, NodeId u,
-                            std::vector<graph::IncidentLink>& scratch,
+                            std::vector<LggCandidate>& scratch,
                             std::vector<Transmission>& out) const;
 
   TieBreak tie_break_;
-  // Scratch reused across steps by the serial path; the shard path uses a
-  // call-local vector instead so concurrent shards never share it.
-  std::vector<graph::IncidentLink> scratch_;
+  // Candidate scratch, grown to the largest degree seen and reused across
+  // steps by the serial path; select_for_nodes uses a call-local vector
+  // instead so concurrent shards never share one.
+  std::vector<LggCandidate> scratch_;
   obs::Counter* active_nodes_ = nullptr;
 };
 
