@@ -29,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -300,21 +301,27 @@ int cmd_replay(int argc, char** argv) {
     std::exit(kExitUsage);
   }
 
-  const chaos::ScenarioConfig config = chaos::read_scenario_file(input);
-  const chaos::ScenarioOutcome outcome = chaos::run_scenario(config);
-  print_outcome(outcome);
+  // A missing or malformed expectation is a usage error found before the
+  // (possibly long) run, not after it.
+  std::optional<chaos::ScenarioOutcome> expected;
   if (!expect_path.empty()) {
     std::ifstream is(expect_path);
     if (!is) {
       std::fprintf(stderr, "error: cannot open %s\n", expect_path.c_str());
       return kExitUsage;
     }
-    const chaos::ScenarioOutcome expected = chaos::read_outcome(is);
+    expected = chaos::read_outcome(is);
+  }
+
+  const chaos::ScenarioConfig config = chaos::read_scenario_file(input);
+  const chaos::ScenarioOutcome outcome = chaos::run_scenario(config);
+  print_outcome(outcome);
+  if (expected) {
     const bool matches =
-        outcome.verdict == expected.verdict &&
-        outcome.violation.has_value() == expected.violation.has_value() &&
+        outcome.verdict == expected->verdict &&
+        outcome.violation.has_value() == expected->violation.has_value() &&
         (!outcome.violation ||
-         outcome.violation->oracle == expected.violation->oracle);
+         outcome.violation->oracle == expected->violation->oracle);
     if (!matches) {
       std::fprintf(stderr, "replay: finding does NOT match %s\n",
                    expect_path.c_str());
