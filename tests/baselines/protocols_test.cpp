@@ -61,8 +61,8 @@ INSTANTIATE_TEST_SUITE_P(
     Registry, AllProtocols,
     ::testing::Values("lgg", "lgg_random_tiebreak", "flow_routing",
                       "backpressure", "hot_potato", "random_walk"),
-    [](const ::testing::TestParamInfo<std::string_view>& info) {
-      return std::string(info.param);
+    [](const ::testing::TestParamInfo<std::string_view>& param_info) {
+      return std::string(param_info.param);
     });
 
 TEST(Backpressure, ThresholdSuppressesSmallGradients) {

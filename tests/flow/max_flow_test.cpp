@@ -84,8 +84,8 @@ TEST_P(MaxFlowAlgo, BadTerminalsRejected) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSolvers, MaxFlowAlgo, ::testing::ValuesIn(kAllAlgorithms),
-    [](const ::testing::TestParamInfo<FlowAlgorithm>& info) {
-      return std::string(algorithm_name(info.param));
+    [](const ::testing::TestParamInfo<FlowAlgorithm>& param_info) {
+      return std::string(algorithm_name(param_info.param));
     });
 
 /// Random directed networks: all solvers must agree, flows must be valid,

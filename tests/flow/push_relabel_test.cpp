@@ -92,8 +92,8 @@ TEST_P(PushRelabelRules, AgreesWithDinicOnDenseRandomInstances) {
 INSTANTIATE_TEST_SUITE_P(
     Rules, PushRelabelRules,
     ::testing::Values(PushRelabelRule::kFifo, PushRelabelRule::kHighestLabel),
-    [](const ::testing::TestParamInfo<PushRelabelRule>& info) {
-      return info.param == PushRelabelRule::kFifo ? "fifo" : "highest";
+    [](const ::testing::TestParamInfo<PushRelabelRule>& param_info) {
+      return param_info.param == PushRelabelRule::kFifo ? "fifo" : "highest";
     });
 
 }  // namespace

@@ -27,8 +27,12 @@ TEST(ReportConsistency, CrossFieldInvariantsOnRandomInstances) {
     EXPECT_LE(r.max_flow_at_rates, r.arrival_rate) << seed;
     EXPECT_LE(r.max_flow_at_rates, r.fstar) << seed;
     EXPECT_EQ(r.unsaturated, r.epsilon > 0.0) << seed;
-    if (r.unsaturated) EXPECT_TRUE(r.feasible) << seed;
-    if (!r.feasible) EXPECT_DOUBLE_EQ(r.epsilon, 0.0) << seed;
+    if (r.unsaturated) {
+      EXPECT_TRUE(r.feasible) << seed;
+    }
+    if (!r.feasible) {
+      EXPECT_DOUBLE_EQ(r.epsilon, 0.0) << seed;
+    }
     // ε is bounded by the total headroom f*/rate − 1.
     if (r.feasible && r.arrival_rate > 0) {
       const double headroom =

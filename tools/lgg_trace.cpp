@@ -108,11 +108,11 @@ std::vector<SpanRow> load_trace(const std::string& path) {
     if (ts < 0.0 || row.dur < 0.0) {
       throw std::runtime_error(where + " has a negative ts or dur");
     }
-    require(*ev, "pid", Value::Kind::kNumber, where.c_str());
-    require(*ev, "tid", Value::Kind::kNumber, where.c_str());
+    (void)require(*ev, "pid", Value::Kind::kNumber, where.c_str());
+    (void)require(*ev, "tid", Value::Kind::kNumber, where.c_str());
     const Value* args =
         require(*ev, "args", Value::Kind::kObject, where.c_str());
-    require(*args, "step", Value::Kind::kNumber, where.c_str());
+    (void)require(*args, "step", Value::Kind::kNumber, where.c_str());
     const Value* shard = args->find("shard");
     if (shard != nullptr) {
       if (shard->kind != Value::Kind::kNumber || shard->number < 0.0) {
