@@ -1,24 +1,52 @@
-// E15 — engineering throughput: simulator steps/second vs network size and
-// degree, flow-solver speed on G*, and thread-pool replication scaling.
-// Also prints the per-phase step profile on a sparse-source topology (2
-// sources / 2 sinks in 1024 nodes — the regime the O(1)-potential and
-// role-list optimizations target) and emits BENCH_perf_core.json so the
-// perf trajectory is machine-trackable across commits.
+// E15 — what watching the simulator costs, flow-solver speed on G*, and
+// thread-pool replication scaling.  Step throughput, step latency and the
+// per-phase profile are perfbench's (perfbench/README.md); this bench
+// measures only what perfbench does not, and emits BENCH_perf_core.json.
+//
+// Cost protocol: one simulator on the sparse-source topology (1024 nodes,
+// 4096 links, 2 sources, 2 sinks) runs kRounds rounds.  Each round visits
+// every observed state, then the detached state; observers are attached
+// and detached between visits, which leaves the trajectory unchanged
+// (SpanTracer test AttachedTracerNeverPerturbsTheTrajectory).  A visit
+// runs kSettleSteps untimed steps, then times kBlockSteps steps.  A state's
+// overhead is the median over rounds of its block time divided by the same
+// round's detached block time.
+//   * One instance: two identical instances differ by up to 5%.
+//   * Pairing within a round cancels the host's drift, best for adjacent
+//     blocks, so the gated tracer row runs right before the detached block.
+//   * After a telemetry session with a sink is detached, steps run slow for
+//     a while (on a 4-vCPU Xeon host ~3% over 50 steps, ~1% for 100 more).
+//     The settle steps absorb most of it, and the observed states run in
+//     decreasing cost: the hotspot session's tail lands on the armed block,
+//     whose cost dwarfs it, and the detached block follows the tracer,
+//     which leaves nothing behind.
+//   * The snapshot period divides the settle and the block, so every timed
+//     block holds the same snapshots.
 #include "support/bench_common.hpp"
 
+#include <array>
 #include <fstream>
+#include <memory>
+#include <span>
 
 #include "analysis/experiment.hpp"
-#include "flow/max_flow.hpp"
-#include "core/profiler.hpp"
 #include "core/scenarios.hpp"
-#include "graph/generators.hpp"
+#include "flow/max_flow.hpp"
 #include "obs/json.hpp"
+#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
+#include "perfbench/stats.hpp"
 
 namespace {
 
 using namespace lgg;
+
+constexpr NodeId kNodes = 1024;
+constexpr TimeStep kSnapshotEvery = 50;
+constexpr TimeStep kSettleSteps = 50;
+constexpr TimeStep kBlockSteps = 100;
+constexpr int kRounds = 100;
+constexpr double kTraceBudgetPct = 2.0;
 
 /// Counts bytes but keeps nothing: measures the full snapshot-emission
 /// cost without mixing in disk latency.
@@ -31,338 +59,129 @@ class DiscardSink final : public obs::TelemetrySink {
   std::size_t bytes_ = 0;
 };
 
-enum class TelemetryMode { kNone, kUnarmed, kArmed };
-
-/// One cell of the shard-engine scaling curve.
-struct ScalingCell {
-  NodeId nodes = 0;
-  std::size_t threads = 0;
-  TimeStep steps = 0;
-  double seconds = 0.0;
-  double node_steps_per_second = 0.0;
-  double speedup = 1.0;  ///< vs the serial engine on the same topology
+/// One observed state of the cost protocol and what it measured.
+struct CostRow {
+  const char* label;
+  obs::SpanTracer* tracer;
+  obs::Telemetry* telemetry;
+  double overhead_pct = 0.0;
 };
 
-/// Relay-heavy workload for the shard engine: a side×side grid with one
-/// source and one sink, every relay seeded with packets so the selection
-/// and apply phases (the parallelized hot spots) dominate.  threads == 0
-/// runs the default inline pipeline; threads >= 1 calls
-/// enable_sharding(K = threads), where K = 1 is the inline pipeline again.
-double measure_sharded_seconds(NodeId side, std::size_t threads,
-                               TimeStep steps) {
-  core::Simulator sim(core::scenarios::grid_single(side, side),
-                      core::SimulatorOptions{});
-  const NodeId n = side * side;
-  for (NodeId v = 0; v < n; ++v) sim.set_initial_queue(v, 8);
-  if (threads >= 1) {
-    sim.enable_sharding(static_cast<std::uint32_t>(threads), threads);
-  }
-  analysis::Stopwatch wall;
-  sim.run(steps);
-  return wall.seconds();
-}
-
-/// steps/sec of a 5000-step run with the span tracer in one of its cost
-/// states: detached (the zero-cost claim — the hot path is one pointer
-/// test per lap site), or attached with/without hotspot analytics riding
-/// the same run (the <= 2% attached-overhead budget from the
-/// observability plane).
-double measure_observed_steps_per_second(bool traced, std::size_t hotspot_k,
-                                         DiscardSink* sink) {
-  const NodeId n = 1024;
-  core::Simulator sim(
-      core::scenarios::random_unsaturated(n, static_cast<EdgeId>(4 * n), 2,
-                                          2, 5),
-      core::SimulatorOptions{});
-  obs::SpanTracer tracer;
-  if (traced) sim.set_tracer(&tracer);
-  obs::Telemetry telemetry([&] {
-    obs::TelemetryOptions topts;
-    topts.snapshot_every = 100;
-    topts.hotspot_k = hotspot_k;
-    return topts;
-  }());
-  if (hotspot_k > 0) {
-    telemetry.set_sink(sink);
-    sim.set_telemetry(&telemetry);
-  }
-  const TimeStep steps = 5000;
-  analysis::Stopwatch wall;
-  sim.run(steps);
-  return static_cast<double>(steps) / wall.seconds();
-}
-
-/// nodes × threads node-steps/second curve (the acceptance curve for the
-/// shard engine: monotone in threads, >= 2x at 4 threads on the largest
-/// topology when the hardware has >= 4 cores).
-std::vector<ScalingCell> measure_shard_scaling() {
-  std::vector<ScalingCell> cells;
-  for (const NodeId side : {NodeId{64}, NodeId{128}, NodeId{256}}) {
-    const NodeId n = side * side;
-    // Fix total work per row: bigger networks take fewer steps.
-    const auto steps =
-        static_cast<TimeStep>(std::max<NodeId>(8, 262144 / n) * 8);
-    const double serial_seconds = measure_sharded_seconds(side, 0, steps);
-    for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
-                                      std::size_t{2}, std::size_t{4},
-                                      std::size_t{8}}) {
-      const double seconds =
-          threads == 0 ? serial_seconds
-                       : measure_sharded_seconds(side, threads, steps);
-      ScalingCell cell;
-      cell.nodes = n;
-      cell.threads = threads;
-      cell.steps = steps;
-      cell.seconds = seconds;
-      cell.node_steps_per_second =
-          static_cast<double>(n) * static_cast<double>(steps) / seconds;
-      cell.speedup = serial_seconds / seconds;
-      cells.push_back(cell);
+/// Runs the cost protocol on `sim`, fills every row's overhead_pct and
+/// returns the detached steps/sec (median block).
+double measure_overheads(core::Simulator& sim, std::span<CostRow> rows) {
+  const auto block_seconds = [&sim](obs::SpanTracer* tracer,
+                                    obs::Telemetry* telemetry) {
+    sim.set_tracer(tracer);
+    sim.set_telemetry(telemetry);
+    sim.run(kSettleSteps);
+    analysis::Stopwatch wall;
+    sim.run(kBlockSteps);
+    return wall.seconds();
+  };
+  std::vector<double> detached;
+  std::vector<std::vector<double>> ratios(rows.size());
+  std::vector<double> observed(rows.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      observed[i] = block_seconds(rows[i].tracer, rows[i].telemetry);
+    }
+    detached.push_back(block_seconds(nullptr, nullptr));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ratios[i].push_back(observed[i] / detached.back());
     }
   }
-  return cells;
-}
-
-/// steps/sec of a 5000-step run on the sparse-source topology with the
-/// telemetry layer in one of its three cost states.
-double measure_steps_per_second(TelemetryMode mode, DiscardSink* sink) {
-  const NodeId n = 1024;
-  core::Simulator sim(
-      core::scenarios::random_unsaturated(n, static_cast<EdgeId>(4 * n), 2,
-                                          2, 5),
-      core::SimulatorOptions{});
-  obs::TelemetryOptions topts;
-  topts.snapshot_every = 100;
-  topts.flight_capacity = mode == TelemetryMode::kArmed ? 256 : 0;
-  obs::Telemetry telemetry(topts);
-  if (mode == TelemetryMode::kArmed && sink != nullptr) {
-    telemetry.set_sink(sink);
+  sim.set_tracer(nullptr);
+  sim.set_telemetry(nullptr);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].overhead_pct =
+        100.0 * (perfbench::median(std::move(ratios[i])) - 1.0);
   }
-  if (mode != TelemetryMode::kNone) sim.set_telemetry(&telemetry);
-  const TimeStep steps = 5000;
-  analysis::Stopwatch wall;
-  sim.run(steps);
-  return static_cast<double>(steps) / wall.seconds();
+  return static_cast<double>(kBlockSteps) /
+         perfbench::median(std::move(detached));
 }
 
 void print_report() {
-  bench::banner("E15: core throughput",
-                "Per-phase breakdown of one simulator step on a "
+  bench::banner("E15: observability cost",
+                "What each observer costs a simulator step on a "
                 "sparse-source topology, then the google-benchmark section "
-                "for steps/sec, solver times, and replication scaling.");
+                "for solver times and replication scaling.");
 
-  // Sparse-source profile: 1024 nodes, 4096 links, only 2 sources and 2
-  // sinks — injection/extraction must not scan the 1020 relays.
-  const NodeId n = 1024;
   core::Simulator sim(
-      core::scenarios::random_unsaturated(n, static_cast<EdgeId>(4 * n), 2,
-                                          2, 5),
+      core::scenarios::random_unsaturated(
+          kNodes, static_cast<EdgeId>(4 * kNodes), 2, 2, 5),
       core::SimulatorOptions{});
-  core::StepProfiler profiler;
-  sim.set_profiler(&profiler);
-  const TimeStep steps = 5000;
-  analysis::Stopwatch wall;
-  sim.run(steps);
-  const double seconds = wall.seconds();
-  std::printf("sparse-source phase profile (n=%d, m=%d, %lld steps):\n%s",
-              static_cast<int>(n), static_cast<int>(4 * n),
-              static_cast<long long>(steps), profiler.table().c_str());
-  std::printf("wall steps/sec=%.6g  P_t=%.6g  total=%lld\n\n",
-              static_cast<double>(steps) / seconds, sim.network_state(),
-              static_cast<long long>(sim.total_packets()));
-
-  // Telemetry cost states on the same topology: a detached run, an
-  // attached-but-unarmed session (the claim: within noise of baseline —
-  // one pointer test per step), and a fully armed session emitting
-  // snapshots into a discarding sink (the real observation cost).
-  const double baseline_sps =
-      measure_steps_per_second(TelemetryMode::kNone, nullptr);
-  const double unarmed_sps =
-      measure_steps_per_second(TelemetryMode::kUnarmed, nullptr);
-  DiscardSink discard;
-  const double armed_sps =
-      measure_steps_per_second(TelemetryMode::kArmed, &discard);
-  const double unarmed_overhead_pct =
-      100.0 * (baseline_sps / unarmed_sps - 1.0);
-  const double armed_overhead_pct = 100.0 * (baseline_sps / armed_sps - 1.0);
-  std::printf("telemetry overhead (5000 steps, same topology):\n");
-  std::printf("  no telemetry      %.6g steps/sec\n", baseline_sps);
-  std::printf("  attached, unarmed %.6g steps/sec (%+.2f%%)\n", unarmed_sps,
-              unarmed_overhead_pct);
-  std::printf("  armed, JSONL sink %.6g steps/sec (%+.2f%%, %zu bytes)\n\n",
-              armed_sps, armed_overhead_pct, discard.bytes());
-
-  // Span-tracing cost states on the same topology.  Detached must sit in
-  // the noise (the lap sites test one pointer each); attached — even with
-  // hotspot analytics riding the same run — has a 2% overhead budget.
-  // Best-of-3 on each side smooths scheduler noise before gating.
-  const auto best_of_3 = [](auto&& measure) {
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) best = std::max(best, measure());
-    return best;
+  const auto session = [](std::size_t flight_capacity, std::size_t hotspot_k,
+                          DiscardSink* sink) {
+    obs::TelemetryOptions options;
+    options.snapshot_every = kSnapshotEvery;
+    options.flight_capacity = flight_capacity;
+    options.hotspot_k = hotspot_k;
+    auto telemetry = std::make_unique<obs::Telemetry>(options);
+    telemetry->set_sink(sink);
+    return telemetry;
   };
-  const double untraced_sps = best_of_3(
-      [] { return measure_observed_steps_per_second(false, 0, nullptr); });
-  const double traced_sps = best_of_3(
-      [] { return measure_observed_steps_per_second(true, 0, nullptr); });
+  DiscardSink armed_sink;
   DiscardSink hotspot_sink;
-  const double traced_hotspots_sps = best_of_3([&hotspot_sink] {
-    return measure_observed_steps_per_second(true, 8, &hotspot_sink);
-  });
-  const double traced_overhead_pct =
-      100.0 * (untraced_sps / traced_sps - 1.0);
-  const double traced_hotspots_overhead_pct =
-      100.0 * (untraced_sps / traced_hotspots_sps - 1.0);
-  std::printf("span-tracing overhead (5000 steps, best of 3):\n");
-  std::printf("  tracer detached            %.6g steps/sec\n", untraced_sps);
-  std::printf("  tracer attached            %.6g steps/sec (%+.2f%%)\n",
-              traced_sps, traced_overhead_pct);
-  std::printf("  tracer + hotspots attached %.6g steps/sec (%+.2f%%)\n",
-              traced_hotspots_sps, traced_hotspots_overhead_pct);
-  std::printf("BENCH trace_overhead_gate attached=%.2f%% budget=2.00%% %s\n\n",
-              traced_overhead_pct,
-              traced_overhead_pct <= 2.0 ? "PASS" : "FAIL");
+  const auto unarmed = session(0, 0, nullptr);
+  const auto armed = session(256, 0, &armed_sink);
+  const auto hotspots = session(0, 8, &hotspot_sink);
+  obs::SpanTracer tracer;
+  // Decreasing cost: see the protocol note at the top of the file.
+  std::array<CostRow, 4> rows = {{
+      {"tracer + hotspots (k=8)", &tracer, hotspots.get()},
+      {"telemetry armed (JSONL sink + flight 256)", nullptr, armed.get()},
+      {"telemetry attached, unarmed", nullptr, unarmed.get()},
+      {"tracer attached", &tracer, nullptr},
+  }};
+  const double detached_sps = measure_overheads(sim, rows);
+  const auto& [hotspot_row, armed_row, unarmed_row, tracer_row] = rows;
 
-  // Shard-engine scaling: node-steps/second over nodes × threads
-  // (threads = 0 is the serial engine; each sharded row uses K = threads
-  // shards).  Relay-heavy topology with seeded queues, so the parallel
-  // phases carry the step.
-  const std::vector<ScalingCell> scaling = measure_shard_scaling();
-  std::printf("shard-engine scaling (node-steps/sec, speedup vs serial):\n");
-  std::printf("  %8s %8s %8s %14s %8s\n", "nodes", "threads", "steps",
-              "node-steps/s", "speedup");
-  for (const ScalingCell& cell : scaling) {
-    std::printf("  %8d %8zu %8lld %14.6g %7.2fx\n",
-                static_cast<int>(cell.nodes), cell.threads,
-                static_cast<long long>(cell.steps),
-                cell.node_steps_per_second, cell.speedup);
+  std::printf("observer cost (%d rounds; %lld settle + %lld timed steps a "
+              "visit; median of block time / same round's detached block):\n",
+              kRounds, static_cast<long long>(kSettleSteps),
+              static_cast<long long>(kBlockSteps));
+  std::printf("  %-42s %.6g steps/sec\n", "detached", detached_sps);
+  for (const CostRow& row : rows) {
+    std::printf("  %-42s %+.2f%%\n", row.label, row.overhead_pct);
   }
-  std::printf("\n");
+  const double traced_pct = tracer_row.overhead_pct;
+  std::printf("BENCH trace_overhead_gate attached=%.2f%% budget=2.00%% %s\n\n",
+              traced_pct, traced_pct <= kTraceBudgetPct ? "PASS" : "FAIL");
 
   std::ofstream out("BENCH_perf_core.json");
-  if (out) {
-    obs::JsonWriter json;
-    json.begin_object();
-    json.field("experiment", "perf_core");
-    json.begin_object("topology");
-    json.field("nodes", static_cast<std::int64_t>(n));
-    json.field("edges", static_cast<std::int64_t>(4 * n));
-    json.field("sources", std::int64_t{2});
-    json.field("sinks", std::int64_t{2});
-    json.end_object();
-    json.field("steps", static_cast<std::int64_t>(steps));
-    json.field("wall_seconds", seconds);
-    json.field("wall_steps_per_second",
-               static_cast<double>(steps) / seconds);
-    json.begin_object("telemetry_overhead");
-    json.field("baseline_steps_per_second", baseline_sps);
-    json.field("unarmed_steps_per_second", unarmed_sps);
-    json.field("unarmed_overhead_pct", unarmed_overhead_pct);
-    json.field("armed_steps_per_second", armed_sps);
-    json.field("armed_overhead_pct", armed_overhead_pct);
-    json.field("armed_bytes_emitted",
-               static_cast<std::uint64_t>(discard.bytes()));
-    json.end_object();
-    json.begin_object("trace_overhead");
-    json.field("detached_steps_per_second", untraced_sps);
-    json.field("attached_steps_per_second", traced_sps);
-    json.field("attached_overhead_pct", traced_overhead_pct);
-    json.field("attached_hotspots_steps_per_second", traced_hotspots_sps);
-    json.field("attached_hotspots_overhead_pct",
-               traced_hotspots_overhead_pct);
-    json.field("budget_pct", 2.0);
-    json.end_object();
-    json.begin_array("shard_scaling");
-    for (const ScalingCell& cell : scaling) {
-      json.begin_object();
-      json.field("nodes", static_cast<std::int64_t>(cell.nodes));
-      json.field("threads", static_cast<std::uint64_t>(cell.threads));
-      json.field("steps", static_cast<std::int64_t>(cell.steps));
-      json.field("seconds", cell.seconds);
-      json.field("node_steps_per_second", cell.node_steps_per_second);
-      json.field("speedup_vs_serial", cell.speedup);
-      json.end_object();
-    }
-    json.end_array();
-    json.raw_field("profile", profiler.json());
-    json.end_object();
-    out << json.str() << '\n';
-    std::printf("machine-readable profile written to BENCH_perf_core.json\n");
-  }
+  if (!out) return;
+  obs::JsonWriter json;
+  json.begin_object();
+  json.field("experiment", "perf_core");
+  json.begin_object("topology");
+  json.field("nodes", static_cast<std::int64_t>(kNodes));
+  json.field("edges", static_cast<std::int64_t>(4 * kNodes));
+  json.field("sources", std::int64_t{2});
+  json.field("sinks", std::int64_t{2});
+  json.end_object();
+  json.begin_object("protocol");
+  json.field("rounds", static_cast<std::int64_t>(kRounds));
+  json.field("settle_steps", static_cast<std::int64_t>(kSettleSteps));
+  json.field("block_steps", static_cast<std::int64_t>(kBlockSteps));
+  json.field("snapshot_every", static_cast<std::int64_t>(kSnapshotEvery));
+  json.end_object();
+  json.field("detached_steps_per_second", detached_sps);
+  json.begin_object("telemetry_overhead");
+  json.field("unarmed_overhead_pct", unarmed_row.overhead_pct);
+  json.field("armed_overhead_pct", armed_row.overhead_pct);
+  json.field("armed_bytes_emitted",
+             static_cast<std::uint64_t>(armed_sink.bytes()));
+  json.end_object();
+  json.begin_object("trace_overhead");
+  json.field("attached_overhead_pct", traced_pct);
+  json.field("attached_hotspots_overhead_pct", hotspot_row.overhead_pct);
+  json.field("budget_pct", kTraceBudgetPct);
+  json.end_object();
+  json.end_object();
+  out << json.str() << '\n';
+  std::printf("observer cost rows written to BENCH_perf_core.json\n");
 }
-
-void BM_SimStepBySize(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  core::SimulatorOptions options;
-  core::Simulator sim(
-      core::scenarios::random_unsaturated(n, static_cast<EdgeId>(4 * n), 2,
-                                          2, 5),
-      options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.step());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimStepBySize)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_SimStepSharded(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const NodeId side = 64;
-  const NodeId n = side * side;
-  core::Simulator sim(core::scenarios::grid_single(side, side),
-                      core::SimulatorOptions{});
-  for (NodeId v = 0; v < n; ++v) sim.set_initial_queue(v, 8);
-  if (threads >= 1) {
-    sim.enable_sharding(static_cast<std::uint32_t>(threads), threads);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.step());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(threads == 0 ? "serial"
-                              : "sharded-k" + std::to_string(threads));
-}
-// Wall clock: the pool threads do the work, so main-thread CPU time would
-// overstate sharded throughput.
-BENCHMARK(BM_SimStepSharded)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_SimStepByDegree(benchmark::State& state) {
-  const auto mult = static_cast<int>(state.range(0));
-  core::SimulatorOptions options;
-  core::Simulator sim(
-      core::scenarios::fat_path(16, mult, mult / 2 + 1,
-                                static_cast<Cap>(mult)),
-      options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.step());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimStepByDegree)->Arg(2)->Arg(8)->Arg(32);
-
-void BM_SimStepTelemetry(benchmark::State& state) {
-  const auto mode = static_cast<TelemetryMode>(state.range(0));
-  const NodeId n = 1024;
-  core::Simulator sim(
-      core::scenarios::random_unsaturated(n, static_cast<EdgeId>(4 * n), 2,
-                                          2, 5),
-      core::SimulatorOptions{});
-  obs::TelemetryOptions topts;
-  topts.snapshot_every = 100;
-  topts.flight_capacity = mode == TelemetryMode::kArmed ? 256 : 0;
-  obs::Telemetry telemetry(topts);
-  DiscardSink sink;
-  if (mode == TelemetryMode::kArmed) telemetry.set_sink(&sink);
-  if (mode != TelemetryMode::kNone) sim.set_telemetry(&telemetry);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.step());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(mode == TelemetryMode::kNone     ? "no-telemetry"
-                 : mode == TelemetryMode::kUnarmed ? "attached-unarmed"
-                                                   : "armed-jsonl-sink");
-}
-BENCHMARK(BM_SimStepTelemetry)->DenseRange(0, 2);
 
 void BM_MaxFlowSolvers(benchmark::State& state) {
   const auto algo = static_cast<flow::FlowAlgorithm>(state.range(0));
@@ -397,7 +216,9 @@ void BM_ParallelReplication(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_ParallelReplication)->Arg(1)->Arg(2)->Arg(4);
+// Wall clock: the pool threads do the work, so main-thread CPU time would
+// overstate throughput and stretch the run to thousands of iterations.
+BENCHMARK(BM_ParallelReplication)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 }  // namespace
 

@@ -41,11 +41,7 @@ void PhaseClock::lap(StepPhase phase, std::uint64_t items) {
   const auto now = Clock::now();
   const std::uint64_t wall = nanos_between(mark_, now);
   if (prof_ != nullptr) {
-    if (shard_nanos_.has_value()) {
-      prof_->record_parallel(phase, wall, *shard_nanos_, items);
-    } else {
-      prof_->record(phase, wall, items);
-    }
+    prof_->record(phase, wall, shard_nanos_.value_or(wall), items);
   }
   if (trc_ != nullptr) span(0, phase, obs::kSerialShard, mark_, now);
   shard_nanos_.reset();

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "analysis/table.hpp"
-#include "obs/json.hpp"
 
 namespace lgg::core {
 
@@ -64,27 +63,6 @@ std::string StepProfiler::table() const {
   os << "steps=" << steps_ << " profiled_ms=" << total * 1e-6
      << " steps/sec=" << steps_per_second() << "\n";
   return os.str();
-}
-
-std::string StepProfiler::json() const {
-  obs::JsonWriter json;
-  json.begin_object();
-  json.field("steps", steps_);
-  json.field("total_nanos", total_nanos());
-  json.field("steps_per_second", steps_per_second());
-  json.begin_array("phases");
-  for (std::size_t i = 0; i < kStepPhaseCount; ++i) {
-    const PhaseTotals& p = phases_[i];
-    json.begin_object();
-    json.field("name", to_string(static_cast<StepPhase>(i)));
-    json.field("nanos", p.nanos);
-    json.field("cpu_nanos", p.cpu_nanos);
-    json.field("items", p.items);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  return json.take();
 }
 
 }  // namespace lgg::core

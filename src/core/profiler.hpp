@@ -5,8 +5,8 @@
 // spent and a phase-specific work counter (packets injected, transmissions
 // proposed, ...).  The simulator pays two steady_clock reads per phase when
 // a profiler is attached and nothing at all otherwise, so production runs
-// stay unperturbed while `lgg_sim --profile` and bench_perf_core can print
-// a phase breakdown and emit machine-readable JSON.
+// stay unperturbed while `lgg_sim --profile` prints a phase breakdown and
+// perfbench reads the per-phase totals for its traced rows.
 #pragma once
 
 #include <array>
@@ -48,22 +48,13 @@ class StepProfiler {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Adds one serial phase observation (called by the simulator once per
-  /// phase per step while attached).  Serial wall time is CPU time.
-  void record(StepPhase phase, std::uint64_t nanos, std::uint64_t items) {
-    auto& totals = phases_[static_cast<std::size_t>(phase)];
-    totals.nanos += nanos;
-    totals.cpu_nanos += nanos;
-    totals.items += items;
-  }
-
-  /// Adds one shard-parallel phase observation: `wall_nanos` is the
-  /// max-over-shards elapsed time (what the step actually waited),
-  /// `cpu_nanos` the sum-over-shards elapsed time (what the cores burned).
-  /// Summing per-shard walls into `nanos` would double-count the step wall
-  /// K-fold, which is exactly the bug this split exists to avoid.
-  void record_parallel(StepPhase phase, std::uint64_t wall_nanos,
-                       std::uint64_t cpu_nanos, std::uint64_t items) {
+  /// Adds one phase observation (called by the simulator once per phase
+  /// per step while attached).  `wall_nanos` is what the step waited;
+  /// `cpu_nanos` what the cores burned: the wall time again for an inline
+  /// phase, the summed shard busy time for a fanned-out one.  Summing
+  /// per-shard walls into the wall column would count the step wall K-fold.
+  void record(StepPhase phase, std::uint64_t wall_nanos,
+              std::uint64_t cpu_nanos, std::uint64_t items) {
     auto& totals = phases_[static_cast<std::size_t>(phase)];
     totals.nanos += wall_nanos;
     totals.cpu_nanos += cpu_nanos;
@@ -88,8 +79,6 @@ class StepProfiler {
 
   /// Aligned phase-breakdown table (phase, time, share, ns/step, items).
   [[nodiscard]] std::string table() const;
-  /// Machine-readable summary (steps, steps/sec, per-phase nanos/items).
-  [[nodiscard]] std::string json() const;
 
  private:
   std::array<PhaseTotals, kStepPhaseCount> phases_{};

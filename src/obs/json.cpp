@@ -184,12 +184,6 @@ void JsonWriter::field(std::string_view key, bool value) {
   pending_comma_ = true;
 }
 
-void JsonWriter::raw_field(std::string_view key, std::string_view json) {
-  key_prefix(key);
-  out_ += json;
-  pending_comma_ = true;
-}
-
 void JsonWriter::value(std::string_view v) {
   if (pending_comma_) out_.push_back(',');
   append_json_string(out_, v);

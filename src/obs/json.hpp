@@ -1,9 +1,9 @@
 // Minimal deterministic JSON emission for the telemetry layer.
 //
 // Every machine-readable artifact the repo emits (telemetry JSONL
-// snapshots, flight-recorder dumps, StepProfiler::json,
-// BENCH_perf_core.json) is built on this one writer so the escaping,
-// number formatting, and nesting rules are identical everywhere:
+// snapshots, flight-recorder dumps, BENCH_perf_core.json) is built on this
+// one writer so the escaping, number formatting, and nesting rules are
+// identical everywhere:
 //
 //   * strings are escaped per RFC 8259 (control characters as \u00XX);
 //     well-formed UTF-8 passes through verbatim, and every invalid
@@ -56,8 +56,6 @@ class JsonWriter {
   void field(std::string_view key, std::int64_t value);
   void field(std::string_view key, std::uint64_t value);
   void field(std::string_view key, bool value);
-  /// Splices pre-rendered JSON (e.g. a nested document) as the value.
-  void raw_field(std::string_view key, std::string_view json);
 
   // Scalar elements (inside an array).
   void value(std::string_view v);

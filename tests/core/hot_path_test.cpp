@@ -183,9 +183,6 @@ TEST(StepProfiler, AccumulatesPhaseTimesAndCounters) {
   const std::string table = profiler.table();
   EXPECT_NE(table.find("selection"), std::string::npos);
   EXPECT_NE(table.find("steps/sec"), std::string::npos);
-  const std::string json = profiler.json();
-  EXPECT_NE(json.find("\"steps\":50"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"extraction\""), std::string::npos);
   profiler.reset();
   EXPECT_EQ(profiler.steps(), 0u);
   EXPECT_EQ(profiler.total_nanos(), 0u);

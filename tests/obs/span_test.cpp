@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "core/arrival.hpp"
 #include "core/scenarios.hpp"
 #include "core/simulator.hpp"
+#include "obs/telemetry.hpp"
 
 namespace lgg {
 namespace {
@@ -131,13 +133,26 @@ TEST(SpanTracer, DroppedSpansAreReportedInOtherData) {
 }
 
 TEST(SpanTracer, AttachedTracerNeverPerturbsTheTrajectory) {
-  const auto run = [](obs::SpanTracer* tracer) {
+  // With `toggled`, the tracer and the telemetry session are attached for
+  // 7 steps and detached for the next 7, as bench_perf_core's cost
+  // protocol switches them between blocks.
+  const auto run = [](obs::SpanTracer* tracer,
+                      obs::Telemetry* toggled = nullptr) {
     core::SimulatorOptions options;
     options.seed = 0x0B5;
     core::Simulator sim(core::scenarios::grid_single(3, 4), options);
     sim.set_arrival(std::make_unique<core::BernoulliArrival>(0.7));
-    if (tracer != nullptr) sim.set_tracer(tracer);
-    sim.run(200);
+    if (toggled == nullptr) {
+      if (tracer != nullptr) sim.set_tracer(tracer);
+      sim.run(200);
+    } else {
+      for (TimeStep t = 0; t < 200; t += 7) {
+        const bool on = t % 14 == 0;
+        sim.set_tracer(on ? tracer : nullptr);
+        sim.set_telemetry(on ? toggled : nullptr);
+        sim.run(std::min<TimeStep>(7, 200 - t));
+      }
+    }
     return std::vector<PacketCount>(sim.queues().begin(),
                                     sim.queues().end());
   };
@@ -149,6 +164,19 @@ TEST(SpanTracer, AttachedTracerNeverPerturbsTheTrajectory) {
   ASSERT_GE(tracer.lane_count(), 1u);
   EXPECT_EQ(tracer.lane(0).size() + tracer.lane(0).dropped(),
             200u * core::kStepPhaseCount);
+
+  std::ostringstream stream;
+  obs::OstreamJsonlSink sink(stream);
+  obs::TelemetryOptions topts;
+  topts.snapshot_every = 5;
+  topts.flight_capacity = 64;
+  topts.hotspot_k = 4;
+  obs::Telemetry telemetry(topts);
+  telemetry.set_sink(&sink);
+  obs::SpanTracer toggled_tracer;
+  EXPECT_EQ(run(&toggled_tracer, &telemetry), run(nullptr));
+  EXPECT_GT(toggled_tracer.total_spans(), 0u);
+  EXPECT_FALSE(stream.str().empty());
 }
 
 TEST(SpanTracer, OneShardRecordsTheInlineSpanSequence) {
