@@ -19,10 +19,22 @@ constexpr std::array<StepPhase, kStepPhaseCount> kAllPhases = {
     StepPhase::kLossApply,  StepPhase::kExtraction,
 };
 
-TEST(StepProfiler, RecordSplitsWallFromCpu) {
+TEST(StepProfiler, SerialRecordCountsWallAsCpu) {
+  // A serial phase passes its wall time as its CPU time too; repeated
+  // observations of the same phase accumulate.
+  StepProfiler prof;
+  prof.record(StepPhase::kSelection, 1000, 1000, 7);
+  prof.record(StepPhase::kSelection, 500, 500, 3);
+  const PhaseTotals& t = prof.phase(StepPhase::kSelection);
+  EXPECT_EQ(t.nanos, 1500u);
+  EXPECT_EQ(t.cpu_nanos, 1500u);
+  EXPECT_EQ(t.items, 10u);
+}
+
+TEST(StepProfiler, ParallelRecordSplitsWallFromCpu) {
   // A fanned-out phase: four shards, slowest 800 ns, total shard busy time
   // 2000 ns.  The step waited 800 ns (wall), the cores burned 2000 ns
-  // (CPU).  A second observation of the same phase accumulates.
+  // (CPU).  A second, serial observation of the same phase accumulates.
   StepProfiler prof;
   prof.record(StepPhase::kLossApply, 800, 2000, 42);
   prof.record(StepPhase::kLossApply, 500, 500, 3);
